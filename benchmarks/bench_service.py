@@ -5,6 +5,12 @@ Measures what serving costs and buys relative to the in-process engine:
 - **wire_microbench**: raw codec throughput (MB/s of float64 payload)
   for the v1 JSON-lines encoding vs the v2 binary frames, encode and
   decode separately — the protocol tax with everything else removed;
+- **escalating_scan**: in-process ``MonitoringEngine.advance`` over
+  ``iid`` rows in 4096-row blocks, where nearly every row violates a
+  filter — the time-axis scan's worst case.  A scan that rescans the
+  rest of the block after each escalation pays O(B·n) per escalated
+  row here (it measured 28% slower), so this cell gates the scan's
+  window policy;
 - **single_session**: the same workload/algorithm run (a) in-process
   through ``MonitoringEngine.run()``, (b) as a served session fed
   block-by-block over localhost TCP with v1 lockstep framing, and
@@ -87,6 +93,11 @@ from repro.streams import registry
 FULL_SINGLE = (20_000, 32, 4, 0.1, 512)
 CI_SINGLE = (8_000, 32, 4, 0.1, 512)
 
+#: (T, n, k, eps, block) of the all-escalating scan cell.  CI shrinks
+#: only T; the 4096-row block is what makes a careless scan expensive.
+FULL_ESCALATING = (12_288, 32, 4, 0.1, 4096)
+CI_ESCALATING = (4_096, 32, 4, 0.1, 4096)
+
 #: (T per session, session counts) of the scaling sweep.
 FULL_SCALING = (5_000, (1, 2, 4, 8))
 CI_SCALING = (3_000, (1, 2, 4))
@@ -107,9 +118,12 @@ CI_HOP = 3_000
 #: pipelining — the headline serving path) and the scrape cadence of
 #: its background ``GET /metrics`` poller.  The ops-plane acceptance
 #: gate reads this cell: instrumented + 1 Hz scraper must stay within
-#: 2% of the uninstrumented rate.
-FULL_METRICS_T = 20_000
-CI_METRICS_T = 8_000
+#: 2% of the uninstrumented rate.  Sized so that each arm of a round
+#: runs ~0.3 s in CI: the time-axis scan made these zipf steps ~3x
+#: cheaper, and at 8,000 steps a 0.1 s arm let noise alone swing the
+#: ratio from 0.81 to 1.10.
+FULL_METRICS_T = 60_000
+CI_METRICS_T = 24_000
 SCRAPE_INTERVAL_S = 1.0
 
 #: Rounds of the metrics-overhead contrast.  Its gate is an absolute
@@ -130,11 +144,14 @@ DURABILITY_ROUNDS = 5
 #: advanced in vectorized ticks, vs the same S sessions fed one at a
 #: time on the serial path.  In-process on purpose — the cell isolates
 #: the engine-layer batching win from transport and coalescing effects
-#: (the scaling/shard sweeps keep covering those).  CI shrinks only T:
-#: the session counts ARE the grid (per-session-count cells gate in the
-#: regression check), and the chunk size shapes per-tick overhead.
+#: (the scaling/shard sweeps keep covering those).  CI runs the full
+#: grid: the session counts ARE the grid (per-session-count cells gate
+#: in the regression check), the chunk size shapes per-tick overhead,
+#: and with quiet rows scanned in bulk each session's costly first step
+#: dominates a short horizon, so a CI-only T would read ~half the
+#: committed 1-session rate on any machine.
 FULL_BATCH = (1_000, (1, 16, 256, 4096), 8, 2, 0.1, 64)
-CI_BATCH = (300, (1, 16, 256, 4096), 8, 2, 0.1, 64)
+CI_BATCH = FULL_BATCH
 
 #: Session count of the serial baseline the batched sweep is judged
 #: against (the acceptance gate: batched aggregate >= 5x serial here).
@@ -257,6 +274,33 @@ def bench_in_process(T: int, n: int, k: int, eps: float, block: int) -> dict:
         "T": T, "n": n, "seconds": round(seconds, 4),
         "steps_per_s": round(T / seconds),
         "messages": result.messages,
+    }
+
+
+def bench_escalating_scan(T: int, n: int, k: int, eps: float, block: int) -> dict:
+    """Push ``iid`` rows through ``advance`` in large blocks, in process.
+
+    ``escalated_share`` is the share of steps that charged messages:
+    quiet steps charge none, so it is the share of rows the scan had to
+    hand to the serial protocol step.
+    """
+    source = registry.stream("iid", T, n, block_size=block, rng=0)
+    blocks = list(source.iter_blocks())
+    engine = MonitoringEngine(
+        None, make_algorithm(ALGORITHM, k, eps), k=k, eps=eps, seed=1, n=n,
+        record_outputs=False,
+    )
+    engine.start()
+    start = time.perf_counter()
+    for rows in blocks:
+        engine.advance(rows, prevalidated=True)
+    seconds = time.perf_counter() - start
+    per_step = np.asarray(engine.ledger.per_step)
+    return {
+        "T": T, "n": n, "block": block, "seconds": round(seconds, 4),
+        "steps_per_s": round(T / seconds),
+        "escalated_share": round(int(np.count_nonzero(per_step)) / T, 3),
+        "messages": engine.ledger.messages,
     }
 
 
@@ -669,6 +713,7 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     microbench = bench_wire_microbench(50 if args.ci else 200)
+    escalating_scan = bench_escalating_scan(*(CI_ESCALATING if args.ci else FULL_ESCALATING))
 
     process, port = _spawn_server()
     try:
@@ -719,7 +764,7 @@ def main(argv: list[str] | None = None) -> int:
     clean = clean and all(row["clean_shutdown"] for row in shard_scaling.values())
 
     report = {
-        "schema": 6,
+        "schema": 7,
         "mode": "ci" if args.ci else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -727,6 +772,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": WORKLOAD,
         "algorithm": ALGORITHM,
         "wire_microbench": microbench,
+        "escalating_scan": escalating_scan,
         "single_session": {
             "in_process": in_process,
             "served": served,
@@ -770,6 +816,9 @@ def main(argv: list[str] | None = None) -> int:
           f"v2 {microbench['v2']['encode_mb_per_s']}/"
           f"{microbench['v2']['decode_mb_per_s']} MB/s "
           f"({microbench['v2_codec_speedup_x']}x)")
+    print(f"  escalating scan: {escalating_scan['steps_per_s']:>9,} steps/s  "
+          f"(iid, n={escalating_scan['n']}, {escalating_scan['block']}-row blocks, "
+          f"{escalating_scan['escalated_share']:.0%} escalated)")
     print(f"  in-process: {in_process['steps_per_s']:>9,} steps/s  (T={T}, n={n})")
     print(f"  served v1:  {served['steps_per_s']:>9,} steps/s  "
           f"({report['single_session']['serving_overhead_x']}x overhead)")

@@ -50,6 +50,10 @@ from repro.util.intervals import Interval
 
 __all__ = ["DenseCore"]
 
+#: The shared (read-only) id array of an empty broadcast group.
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
 
 class DenseCore(PhaseCore):
     """One DENSEPROTOCOL phase (pre-stage + rounds + SUB dispatch)."""
@@ -276,6 +280,8 @@ class DenseCore(PhaseCore):
 
     def ids(self, members: set[int]) -> np.ndarray:
         """Sorted ndarray of a member set (broadcast-group helper)."""
+        if not members:
+            return _NO_IDS
         return np.fromiter(sorted(members), dtype=np.int64, count=len(members))
 
     def rebroadcast(self) -> None:

@@ -61,7 +61,7 @@ def max_protocol(
             ids, values = channel.existence_above(threshold, strict=True, exclude=exclude)
             if ids.size == 0:
                 return best
-            j = int(np.argmax(values))
+            j = int(values.argmax())
             best = (int(ids[j]), float(values[j]))
             threshold = best[1]
 
@@ -85,7 +85,7 @@ def min_protocol(
             ids, values = channel.existence_below(threshold, strict=True, exclude=exclude)
             if ids.size == 0:
                 return best
-            j = int(np.argmin(values))
+            j = int(values.argmin())
             best = (int(ids[j]), float(values[j]))
             threshold = best[1]
 
@@ -105,15 +105,15 @@ def top_m_probe(channel: Channel, m: int) -> list[tuple[int, float]]:
     if m > channel.n:
         raise ValueError(f"cannot probe top-{m} of {channel.n} nodes")
     found: list[tuple[int, float]] = []
-    exclude = np.empty(0, dtype=np.int64)
+    silenced = np.empty(m, dtype=np.int64)
     with channel.ledger.scope("top_m_probe"):
-        for _ in range(m):
-            result = max_protocol(channel, exclude=exclude)
+        for j in range(m):
+            result = max_protocol(channel, exclude=silenced[:j])
             if result is None:  # pragma: no cover - m <= n makes this unreachable
                 break
             found.append(result)
             channel.notify(result[0])  # stand down
-            exclude = np.append(exclude, result[0])
+            silenced[j] = result[0]
     return found
 
 

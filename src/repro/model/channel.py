@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -118,9 +119,9 @@ class Channel:
 
         Every probability round of Cor. 3.2 runs (γ+1 of them) and nobody
         speaks, so the check costs exactly ``γ+1`` rounds, zero messages,
-        and — crucially for the batch fast path — consumes no randomness:
-        :meth:`_existence_collect` returns before touching the RNG when the
-        active set is empty.
+        and — crucially for the engine's quiet-row replay — consumes no
+        randomness: :meth:`_existence_collect` returns before touching
+        the RNG when the active set is empty.
         """
         return self._gamma + 1
 
@@ -150,9 +151,13 @@ class Channel:
             boolean mask.  Later groups override earlier ones on overlap.
         """
         self.ledger.charge_broadcast()
+        nodes = self._nodes
         for ids, interval in groups:
             ids = self._as_index(ids)
-            self._nodes.set_filters_bulk(ids, interval.lo, interval.hi)
+            if ids.size:
+                nodes.set_filters_bulk(ids, interval.lo, interval.hi)
+            else:
+                nodes.touch()  # an empty group is still one state change
 
     def unicast_filter(self, node: int, interval: Interval) -> None:
         """Assign one node's filter with a direct message.  Cost: 1."""
@@ -200,25 +205,24 @@ class Channel:
         when no node is active; that case costs zero messages and
         ``γ + 1`` rounds of silence.
         """
-        n = self._nodes.n
         if active_ids is None:
             if active is None:
                 raise TypeError("pass exactly one of active= or active_ids=")
-            active_ids = np.flatnonzero(active)
+            active_ids = active.nonzero()[0]
         elif active is not None:
             raise TypeError("pass exactly one of active= or active_ids=")
+        ledger = self.ledger
         if active_ids.size == 0:
-            self.ledger.charge_rounds(self._gamma + 1)
+            ledger.charge_rounds(self._gamma + 1)
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        base = self.existence_base
-        for r in range(self._gamma + 1):
-            self.ledger.charge_rounds(1)
-            p = min(1.0, (base**r) / n)
-            sends = self.rng.random(active_ids.size) < p
-            senders = active_ids[sends]
-            if senders.size > 0:
-                self.ledger.charge_up(int(senders.size))
-                return senders, self._nodes.values[senders].copy()
+        size, random = active_ids.size, self.rng.random
+        probabilities = _send_probabilities(self.existence_base, self._nodes.n, self._gamma + 1)
+        for r, p in enumerate(probabilities):
+            senders = active_ids[random(size) < p]
+            if senders.size:
+                ledger.charge_rounds(r + 1)  # rounds 0..r, one per draw
+                ledger.charge_up(senders.size)
+                return senders, self._nodes.values[senders]  # fancy index: a copy
         raise AssertionError("existence protocol must fire by round gamma (p=1)")
 
     def existence_any(self, active: np.ndarray) -> bool:
@@ -237,8 +241,11 @@ class Channel:
         ids, values = self._existence_collect(active_ids=violating)
         if ids.size == 0:
             return []
-        kind = self._nodes.violation_kind()
-        return [Violation(int(i), float(v), int(kind[i])) for i, v in zip(ids, values)]
+        kinds = self._nodes.violation_kind()[ids]
+        return [
+            Violation(i, v, kind)
+            for i, v, kind in zip(ids.tolist(), values.tolist(), kinds.tolist())
+        ]
 
     def existence_above(
         self,
@@ -255,9 +262,8 @@ class Channel:
         told to stand down with a :meth:`notify` unicast, charged by the
         caller).  Used by the max-finding protocol of Lemma 2.6.
         """
-        mask = self._nodes.mask_above(threshold, strict=strict)
+        mask = self._nodes.mask_above(threshold, strict=strict)  # a fresh array
         if exclude is not None and len(exclude) > 0:
-            mask = mask.copy()
             mask[np.asarray(exclude, dtype=np.int64)] = False
         return self._existence_collect(mask)
 
@@ -269,9 +275,8 @@ class Channel:
         exclude: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mirror of :meth:`existence_above` for the min-finding protocol."""
-        mask = self._nodes.mask_below(threshold, strict=strict)
+        mask = self._nodes.mask_below(threshold, strict=strict)  # a fresh array
         if exclude is not None and len(exclude) > 0:
-            mask = mask.copy()
             mask[np.asarray(exclude, dtype=np.int64)] = False
         return self._existence_collect(mask)
 
@@ -328,9 +333,9 @@ class Channel:
     def _collect(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.ledger.charge_broadcast()  # the query
         self.ledger.charge_rounds(1)
-        ids = np.flatnonzero(mask)
-        self.ledger.charge_up(int(ids.size))
-        return ids, self._nodes.values[ids].copy()
+        ids = mask.nonzero()[0]
+        self.ledger.charge_up(ids.size)
+        return ids, self._nodes.values[ids]  # fancy index: a copy
 
     # ------------------------------------------------------------------ #
     # Deterministic violation search (the pre-Lemma-3.1 baseline)
@@ -382,3 +387,9 @@ class Channel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Channel(n={self.n}, {self.ledger!r})"
+
+
+@lru_cache(maxsize=64)
+def _send_probabilities(base: float, n: int, rounds: int) -> tuple[float, ...]:
+    """Per-round send probabilities ``min(1, base**r / n)`` of Lemma 3.1."""
+    return tuple(min(1.0, (base**r) / n) for r in range(rounds))

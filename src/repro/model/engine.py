@@ -42,6 +42,24 @@ thousands of such runs, see docs/ARCHITECTURE.md):
   of a list of frozensets, and output-change counting runs as one
   vectorized pass over that array at finalize.
 
+Pushed blocks additionally skip the protocol on *quiet* rows.  In the
+paper's filter model a node whose value stays inside its filter sends
+nothing (Def. 2.1, Cor. 3.2), and an algorithm that declares
+``quiet_step_rounds() == R`` promises that such a step is exactly R
+rounds of bookkeeping.  :meth:`MonitoringEngine.advance` therefore scans
+the block along the time axis: one numpy pass compares a window of rows
+against the standing filters and finds the first violating row, the
+quiet rows before it are replayed in one :meth:`_record_quiet_steps`
+call, and only the violating row runs the serial ``_step`` (whose filter
+updates the next window is compared against).  The window starts at
+:data:`_SCAN_WINDOW` rows, doubles while rows stay quiet and falls back
+after every escalation, so an all-escalating stream pays a few rows of
+comparison per step rather than a rescan of the rest of the block.
+Step 0, irregular outputs, ``check=True`` and algorithms without a
+quiet-step declaration step every row — exactly the engines that
+:attr:`MonitoringEngine.batchable` excludes.  :class:`EngineBatch`
+applies the same contract across sessions, one step at a time.
+
 Finalize additionally audits the ledger's accounting law: every charged
 message must appear in the per-step series (``sum(per_step) ==
 messages``); charges made after ``end_step()`` — e.g. from an
@@ -74,6 +92,11 @@ __all__ = ["ValueSource", "MonitoringEngine", "EngineBatch", "RunResult"]
 #: Initial ``(T, k)`` output-buffer rows for open-ended runs (no
 #: ``expect_steps``); grown by doubling.
 _INITIAL_ROWS = 1024
+
+#: Rows in the first containment window of :meth:`MonitoringEngine.advance`'s
+#: time-axis scan; the window doubles while rows stay quiet and falls back
+#: here after every escalation.
+_SCAN_WINDOW = 4
 
 
 @runtime_checkable
@@ -296,10 +319,13 @@ class MonitoringEngine:
 
         The block is shape/finiteness-checked once on entry (skipped for
         ``prevalidated=True`` blocks, e.g. rows already validated by a
-        :class:`~repro.streams.streaming.StreamingSource`), then every
-        row takes the same validation-free delivery fast path as a
-        prevalidated source under :meth:`run`.  Returns the total number
-        of steps consumed so far.
+        :class:`~repro.streams.streaming.StreamingSource`).  A
+        :attr:`batchable` engine then scans the rows along the time axis:
+        runs of rows inside the standing filters are replayed as quiet
+        steps in bulk and only the violating rows run the serial
+        ``_step``; any other engine steps every row.  Either way the
+        engine ends in the state stepping every row leaves behind.
+        Returns the total number of steps consumed so far.
         """
         if not self._started:
             raise RuntimeError("call start() before advance()")
@@ -316,8 +342,31 @@ class MonitoringEngine:
             if not np.all(np.isfinite(block)):
                 raise ValueError("stream values must be finite")
         step = self._step
-        for row in block:
-            step(row, False)
+        if not self.batchable:
+            for row in block:
+                step(row, False)
+            return self._t
+        nodes, rounds = self.nodes, self.algorithm.quiet_step_rounds()
+        i, rows, window = 0, block.shape[0], _SCAN_WINDOW
+        while i < rows:
+            if not self._t or self._irregular:  # on_start / object fallback
+                step(block[i], False)
+                i += 1
+                continue
+            chunk = block[i : i + window]
+            outside = (chunk > nodes.filter_hi) | (chunk < nodes.filter_lo)
+            hits = outside.any(axis=1).nonzero()[0]
+            quiet = int(hits[0]) if hits.size else chunk.shape[0]
+            if quiet:
+                nodes.values[:] = chunk[quiet - 1]
+                self._record_quiet_steps(quiet, rounds)
+                i += quiet
+            if not hits.size:
+                window *= 2
+                continue
+            step(block[i], False)
+            i += 1
+            window = _SCAN_WINDOW
         return self._t
 
     def finalize(self) -> RunResult:
@@ -460,15 +509,17 @@ class MonitoringEngine:
     def _record_quiet_steps(self, count: int, rounds_per_step: int) -> None:
         """Replay the bookkeeping of ``count`` violation-free steps at once.
 
-        The batch pass (:class:`EngineBatch`) already wrote the values into
-        this engine's node state and proved, step by step, that none of
-        them violated the standing filters — so the algorithm was never
-        entitled to act, the output is unchanged, and what remains of the
-        serial ``_step`` sequence is pure accounting: the ledger's
-        begin/rounds/end pattern, ``count`` repeats of the previous output
-        row, and the node-state version clock.  Must mirror ``_step``
-        exactly; checkpoints taken afterwards are asserted bit-identical
-        to serially-fed twins.
+        Two callers: :meth:`advance`'s time-axis scan and
+        :class:`EngineBatch`'s cross-session pass.  Each has already
+        written the last quiet row's values into this engine's node
+        state and proved that none of the ``count`` rows violated the
+        standing filters — so the algorithm was never entitled to act,
+        the output is unchanged, and what remains of the serial ``_step``
+        sequence is pure accounting: the ledger's begin/rounds/end
+        pattern, ``count`` repeats of the previous output row, and the
+        node-state version clock.  Must mirror ``_step`` exactly;
+        checkpoints taken afterwards are asserted bit-identical to twins
+        that stepped every row.
         """
         if count <= 0:
             return

@@ -28,9 +28,7 @@ silently vanishing from the series.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -216,15 +214,27 @@ class CostLedger:
     # ------------------------------------------------------------------ #
     def charge_up(self, count: int = 1) -> None:
         """Charge ``count`` node→server messages."""
-        self._charge("node_to_server", count)
+        if count < 0:
+            raise ValueError(f"negative message count {count}")
+        self.node_to_server += count
+        if self._scopes:
+            self._charge_scopes(count)
 
     def charge_down(self, count: int = 1) -> None:
         """Charge ``count`` server→node unicast messages."""
-        self._charge("server_to_node", count)
+        if count < 0:
+            raise ValueError(f"negative message count {count}")
+        self.server_to_node += count
+        if self._scopes:
+            self._charge_scopes(count)
 
     def charge_broadcast(self, count: int = 1) -> None:
         """Charge ``count`` broadcasts (``broadcast_cost`` units each)."""
-        self._charge("broadcasts", count, scope_amount=count * self.broadcast_cost)
+        if count < 0:
+            raise ValueError(f"negative message count {count}")
+        self.broadcasts += count
+        if self._scopes:
+            self._charge_scopes(count * self.broadcast_cost)
 
     def charge_rounds(self, count: int = 1) -> None:
         """Record ``count`` protocol rounds (free, but bounded)."""
@@ -232,20 +242,26 @@ class CostLedger:
             raise ValueError(f"negative round count {count}")
         self.rounds += count
 
-    def _charge(self, attr: str, count: int, scope_amount: int | None = None) -> None:
-        if count < 0:
-            raise ValueError(f"negative message count {count}")
-        setattr(self, attr, getattr(self, attr) + count)
-        if self._scopes:
-            # Dedupe in stack order, not via ``set()``: set iteration is
-            # hash-randomized *per process*, which would make ``_by_scope``
-            # insertion order — and hence checkpoint blob bytes — differ
-            # between a worker process and an in-process oracle.
+    def _charge_scopes(self, amount: int) -> None:
+        # Dedupe in stack order, not via ``set()`` iteration: set order is
+        # hash-randomized *per process*, which would make ``_by_scope``
+        # insertion order — and hence checkpoint blob bytes — differ
+        # between a worker process and an in-process oracle.  Stacks of
+        # one or two scopes (nearly every charge) skip the dedupe set.
+        scopes, by_scope = self._scopes, self._by_scope
+        if len(scopes) == 1:
+            by_scope[scopes[0]] += amount
+        elif len(scopes) == 2:
+            outer, inner = scopes
+            by_scope[outer] += amount
+            if inner != outer:
+                by_scope[inner] += amount
+        else:
             charged: set[str] = set()
-            for name in self._scopes:
+            for name in scopes:
                 if name not in charged:
                     charged.add(name)
-                    self._by_scope[name] += count if scope_amount is None else scope_amount
+                    by_scope[name] += amount
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -322,7 +338,8 @@ class CostLedger:
         the *first* ``begin_step()`` (subsequent ones see nothing late),
         ``count`` zeros appended to ``per_step``, the round counter and
         the max-rounds watermark, and ``_step_start_rounds`` as the last
-        step's starting point.  Used by the engine's batch fast path; any
+        step's starting point.  Used by the engine's quiet-row replay (the
+        time-axis scan of ``advance`` and the cross-session batch); any
         divergence from the serial sequence here breaks checkpoint
         bit-identity.
         """
@@ -346,8 +363,7 @@ class CostLedger:
     # ------------------------------------------------------------------ #
     # Scoping
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def scope(self, name: str) -> Iterator[None]:
+    def scope(self, name: str) -> "_Scope":
         """Attribute messages charged inside the block to ``name``.
 
         Scopes nest *hierarchically*: a message charged inside nested
@@ -356,14 +372,32 @@ class CostLedger:
         blocks.  Different scopes therefore overlap and do not sum to the
         ledger total.
         """
-        self._scopes.append(name)
-        try:
-            yield
-        finally:
-            self._scopes.pop()
+        return _Scope(self._scopes, name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CostLedger(up={self.node_to_server}, down={self.server_to_node}, "
             f"bcast={self.broadcasts}, rounds={self.rounds})"
         )
+
+
+class _Scope:
+    """The context manager :meth:`CostLedger.scope` returns.
+
+    A slotted object rather than a ``@contextmanager`` generator: scopes
+    are entered tens of thousands of times per second on escalating
+    streams, and a generator frame per entry is a measurable share of
+    that path.
+    """
+
+    __slots__ = ("_stack", "_name")
+
+    def __init__(self, stack: list[str], name: str) -> None:
+        self._stack = stack
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._stack.append(self._name)
+
+    def __exit__(self, *exc_info) -> None:
+        self._stack.pop()

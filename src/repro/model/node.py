@@ -162,8 +162,8 @@ class NodeArray:
     def advance_version(self, count: int) -> None:
         """Bump the state version by ``count`` mutations at once.
 
-        The batch path's quiet-step replay delivers ``count`` steps of
-        values in bulk; the version must advance exactly as if
+        The engine's quiet-step replay delivers ``count`` steps of values
+        in bulk; the version must advance exactly as if
         :meth:`deliver` had run once per step, so that checkpoints taken
         afterwards are bit-identical to the serial path's.
         """
@@ -206,13 +206,19 @@ class NodeArray:
         """Batch-recompute the violation state for the current version."""
         if self._viol_version == self.version:
             return
-        np.greater(self.values, self.filter_hi, out=self._above_buf)
-        np.less(self.values, self.filter_lo, out=self._below_buf)
-        kind = self._viol_kind
-        kind[:] = VIOLATION_NONE
-        kind[self._above_buf] = VIOLATION_BELOW
-        kind[self._below_buf] = VIOLATION_ABOVE
-        self._viol_ids = np.flatnonzero(self._above_buf | self._below_buf)
+        above, below, kind = self._above_buf, self._below_buf, self._viol_kind
+        np.greater(self.values, self.filter_hi, out=above)
+        np.less(self.values, self.filter_lo, out=below)
+        # ``kind`` is all-NONE exactly when the previous batch was empty,
+        # so silent refreshes write nothing.  The BELOW-then-ABOVE order
+        # decides nodes outside an empty filter (lo > hi) on both sides.
+        if self._viol_ids.size:
+            kind[:] = VIOLATION_NONE
+        ids = (above | below).nonzero()[0]
+        if ids.size:
+            kind[above] = VIOLATION_BELOW
+            kind[below] = VIOLATION_ABOVE
+        self._viol_ids = ids
         self._viol_version = self.version
 
     def violation_kind(self) -> np.ndarray:

@@ -20,11 +20,6 @@ from repro.streams.base import Trace
 from repro.util.checks import check_epsilon, check_k, check_positive_int, require
 from repro.util.rngtools import make_rng
 
-try:  # scipy is optional: only the vectorized AR(1) scan uses it
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _lfilter = None
-
 __all__ = ["cluster_load", "sensor_field"]
 
 
@@ -34,10 +29,17 @@ def _ar1_scan(innovations: np.ndarray, coeff: float) -> np.ndarray:
     ``scipy.signal.lfilter`` runs the identical multiply-then-add
     recursion in C (bit-for-bit equal to the Python loop — enforced by
     tests/streams/test_vectorization.py); without scipy the explicit
-    loop is the fallback.
+    loop is the fallback.  scipy is optional and imported here, on first
+    use, rather than at module load: ``repro`` imports this module, and
+    a server process that never generates an AR(1) workload should not
+    pay scipy's import time and memory.
     """
-    if _lfilter is not None:
-        return _lfilter([1.0], [1.0, -coeff], innovations, axis=0)
+    try:
+        from scipy.signal import lfilter
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        pass
+    else:
+        return lfilter([1.0], [1.0, -coeff], innovations, axis=0)
     y = np.zeros_like(innovations)  # pragma: no cover - scipy absent
     y[0] = innovations[0]
     for t in range(1, innovations.shape[0]):

@@ -126,6 +126,36 @@ class ProtocolMachine(RuleBasedStateMachine):
     def feed_nowait(self, session, rows, data):
         self.harness.feed_nowait(session, self._block(data, session, rows))
 
+    @rule(
+        session=sessions,
+        rows=st.integers(min_value=2, max_value=64),
+        pipelined=st.booleans(),
+        data=st.data(),
+    )
+    def feed_quiet_run(self, session, rows, pipelined, data):
+        # Independent rows almost always violate a filter; a repeated row
+        # with a few perturbed cells gives the engine's time-axis scan
+        # multi-row quiet runs to replay between escalations.
+        row = self._block(data, session, 1)[0]
+        block = [list(row) for _ in range(rows)]
+        edits = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=rows - 1),
+                    st.integers(min_value=0, max_value=len(row) - 1),
+                    VALUES,
+                ),
+                max_size=3,
+            ),
+            label="edits",
+        )
+        for r, c, value in edits:
+            block[r][c] = value
+        if pipelined:
+            self.harness.feed_nowait(session, block)
+        else:
+            self.harness.feed(session, block)
+
     @rule(session=sessions, data=st.data())
     def feed_wrong_width(self, session, data):
         self.harness.feed(session, self._block(data, session, 1, width_delta=1))
