@@ -50,11 +50,6 @@ from repro.util.intervals import Interval
 
 __all__ = ["DenseCore"]
 
-#: The shared (read-only) id array of an empty broadcast group.
-_NO_IDS = np.empty(0, dtype=np.int64)
-_NO_IDS.flags.writeable = False
-
-
 class DenseCore(PhaseCore):
     """One DENSEPROTOCOL phase (pre-stage + rounds + SUB dispatch)."""
 
@@ -75,7 +70,7 @@ class DenseCore(PhaseCore):
         self._probe_vk = probe[k - 1][1]
         self._probe_vk1 = probe[k][1]
         self._pre_top = np.array([node for node, _ in probe[:k]], dtype=np.int64)
-        self._output = frozenset(int(i) for i in self._pre_top)
+        self._output = frozenset(self._pre_top.tolist())
         self._fill: set[int] = set(self._output)
         # Main-stage state (populated by _enter_main).
         self.z = float("nan")
@@ -124,11 +119,11 @@ class DenseCore(PhaseCore):
         self.z_hi = z / (1.0 - self.eps)
         self.z_lo = (1.0 - self.eps) * z
         ids_above, _ = self.channel.collect_above(self.z_hi, strict=True)
-        self.V1 = {int(i) for i in ids_above}
+        self.V1 = set(ids_above.tolist())
         if len(self.V1) > self.k:
             return PhaseOutcome.RESTART
         ids_band, _ = self.channel.collect_between(self.z_lo, self.z_hi)
-        self.V2 = {int(i) for i in ids_band} - self.V1
+        self.V2 = set(ids_band.tolist()) - self.V1
         self.V3 = set(range(self.channel.n)) - self.V1 - self.V2
         if len(self.V3) > self.channel.n - self.k:
             return PhaseOutcome.RESTART
@@ -262,14 +257,12 @@ class DenseCore(PhaseCore):
     # ------------------------------------------------------------------ #
     def count_above_ur(self) -> int:
         """Snapshot count of nodes with value > u_r (1 bcast + ≤ k+σ msgs)."""
-        with self.channel.ledger.scope("dense_count"):
-            return self.channel.count_above(self.u_r, strict=True)
+        return self.channel.count_above(self.u_r, strict=True, scope="dense_count")
 
     def count_ge_lr(self) -> int:
         """Snapshot count of nodes with value ≥ ℓ_r (cheap complement of
         "more than n-k below ℓ_r": that holds iff this count is < k)."""
-        with self.channel.ledger.scope("dense_count"):
-            return self.channel.count_above(self.l_r, strict=False)
+        return self.channel.count_above(self.l_r, strict=False, scope="dense_count")
 
     # ------------------------------------------------------------------ #
     # Round bookkeeping
@@ -278,12 +271,6 @@ class DenseCore(PhaseCore):
         self.l_r = self.L.midpoint
         self.u_r = self.l_r / (1.0 - self.eps)
 
-    def ids(self, members: set[int]) -> np.ndarray:
-        """Sorted ndarray of a member set (broadcast-group helper)."""
-        if not members:
-            return _NO_IDS
-        return np.fromiter(sorted(members), dtype=np.int64, count=len(members))
-
     def rebroadcast(self) -> None:
         """Install the step-2 filter table for round ``r`` (one broadcast)."""
         only1 = self.S1 - self.S2
@@ -291,11 +278,11 @@ class DenseCore(PhaseCore):
         plain = self.V2 - self.S1 - self.S2
         self.channel.broadcast_filters(
             [
-                (self.ids(self.V1), Interval.at_least(self.l_r)),
-                (self.ids(only1), Interval(self.l_r, self.z_hi)),
-                (self.ids(plain), Interval(self.l_r, self.u_r)),
-                (self.ids(only2), Interval(self.z_lo, self.u_r)),
-                (self.ids(self.V3), Interval.at_most(self.u_r)),
+                (self.V1, Interval.at_least(self.l_r)),
+                (only1, Interval(self.l_r, self.z_hi)),
+                (plain, Interval(self.l_r, self.u_r)),
+                (only2, Interval(self.z_lo, self.u_r)),
+                (self.V3, Interval.at_most(self.u_r)),
             ]
         )
 
@@ -318,12 +305,13 @@ class DenseCore(PhaseCore):
         if len(core) > self.k:
             return PhaseOutcome.RESTART
         need = self.k - len(core)
-        keep = sorted(self._fill & pool)[:need]
+        keep = sorted(self._fill & pool)
         if len(keep) < need:
-            extra = sorted(pool - set(keep))
-            keep.extend(extra[: need - len(keep)])
-        if len(keep) < need:
-            return PhaseOutcome.RESTART  # not enough witnesses (DESIGN §4)
+            keep.extend(sorted(pool - self._fill)[: need - len(keep)])
+            if len(keep) < need:
+                return PhaseOutcome.RESTART  # not enough witnesses (DESIGN §4)
+        elif len(keep) > need:
+            del keep[need:]
         self._fill = set(keep)
         self._output = frozenset(core | self._fill)
         return None

@@ -72,7 +72,7 @@ class MidpointCore(PhaseCore):
     ) -> None:
         super().__init__(channel, k, eps=0.0)
         self._top_ids = np.array([node for node, _ in probe[:k]], dtype=np.int64)
-        self._output = frozenset(int(i) for i in self._top_ids)
+        self._output = frozenset(self._top_ids.tolist())
         self._interval = Interval(probe[k][1], probe[k - 1][1])  # [v_{k+1}, v_k]
         self._reprobe = bool(reprobe_boundary)
         #: shared counters owned by the monitor (survive phase changes)

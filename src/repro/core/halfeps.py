@@ -20,8 +20,6 @@ Total: O(σ + k log n + log log Δ + log 1/ε)-competitive.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.phased import PhaseCore, PhaseOutcome, PhasedMonitor
 from repro.core.topk_protocol import TopKCore
 from repro.model.channel import Channel, Violation
@@ -51,9 +49,9 @@ class OneRoundDenseCore(PhaseCore):
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         ids_above, _ = self.channel.collect_above(self.u0, strict=True)
-        self.V1 = {int(i) for i in ids_above}
+        self.V1 = set(ids_above.tolist())
         ids_band, _ = self.channel.collect_between(self.l0, self.u0)
-        self.V2 = {int(i) for i in ids_band} - self.V1
+        self.V2 = set(ids_band.tolist()) - self.V1
         self.V3 = set(range(self.channel.n)) - self.V1 - self.V2
         self._install_filters()
         outcome = self._refresh_output()
@@ -93,14 +91,11 @@ class OneRoundDenseCore(PhaseCore):
 
     # ------------------------------------------------------------------ #
     def _install_filters(self) -> None:
-        def ids(s: set[int]) -> np.ndarray:
-            return np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-
         self.channel.broadcast_filters(
             [
-                (ids(self.V1), Interval.at_least(self.l0)),
-                (ids(self.V2), Interval(self.l0, self.u0)),
-                (ids(self.V3), Interval.at_most(self.u0)),
+                (self.V1, Interval.at_least(self.l0)),
+                (self.V2, Interval(self.l0, self.u0)),
+                (self.V3, Interval.at_most(self.u0)),
             ]
         )
 

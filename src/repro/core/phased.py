@@ -151,8 +151,9 @@ class PhasedMonitor(MonitoringAlgorithm):
     def _drain(self) -> None:
         """Settle the current time step: handle violations until silence."""
         assert self._core is not None
+        detect, channel = self._detector, self.channel
         for _ in range(MAX_SETTLE_ITERATIONS):
-            violation = self._detector(self.channel)
+            violation = detect(channel)
             if violation is None:
                 return
             self.violations_handled += 1

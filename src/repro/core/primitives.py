@@ -51,19 +51,10 @@ def max_protocol(
     """Find ``(argmax id, max value)`` among non-excluded nodes > ``above``.
 
     Returns ``None`` when no node qualifies.  Las Vegas: the result is
-    always exact; only the message count is random.
+    always exact; only the message count is random.  The whole loop runs
+    in :meth:`Channel.existence_extremum`.
     """
-    best: tuple[int, float] | None = None
-    threshold = above
-    with channel.ledger.scope("max_protocol"):
-        while True:
-            channel.announce()  # threshold (+ stand-down bookkeeping)
-            ids, values = channel.existence_above(threshold, strict=True, exclude=exclude)
-            if ids.size == 0:
-                return best
-            j = int(values.argmax())
-            best = (int(ids[j]), float(values[j]))
-            threshold = best[1]
+    return channel.existence_extremum(above, exclude=exclude, scope="max_protocol")
 
 
 def min_protocol(
@@ -77,17 +68,7 @@ def min_protocol(
     Same O(log n) expected cost by symmetry; used by the `[6]`-style
     baseline to re-probe the top group's boundary after a violation.
     """
-    best: tuple[int, float] | None = None
-    threshold = below
-    with channel.ledger.scope("min_protocol"):
-        while True:
-            channel.announce()
-            ids, values = channel.existence_below(threshold, strict=True, exclude=exclude)
-            if ids.size == 0:
-                return best
-            j = int(values.argmin())
-            best = (int(ids[j]), float(values[j]))
-            threshold = best[1]
+    return channel.existence_extremum(below, exclude=exclude, lowest=True, scope="min_protocol")
 
 
 def top_m_probe(channel: Channel, m: int) -> list[tuple[int, float]]:
@@ -125,9 +106,7 @@ def detect_violation_existence(channel: Channel) -> Violation | None:
     ("the server processes one violation at a time ... and simply
     ignores" the rest).  Zero cost when nothing violates.
     """
-    with channel.ledger.scope("violation_detection"):
-        reports = channel.existence_violations()
-    return reports[0] if reports else None
+    return channel.existence_violation(scope="violation_detection")
 
 
 def detect_violation_direct(channel: Channel) -> Violation | None:

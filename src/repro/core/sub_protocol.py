@@ -142,12 +142,12 @@ class SubProtocol:
         plain = p.V2 - self.S1p - self.S2p
         p.channel.broadcast_filters(
             [
-                (p.ids(p.V1), Interval.at_least(p.l_r)),
-                (p.ids(only1), Interval(p.l_r, p.z_hi)),
-                (p.ids(both), Interval(self.l_p, p.z_hi)),
-                (p.ids(plain), Interval(p.l_r, self.u_p)),
-                (p.ids(only2), Interval(p.z_lo, self.u_p)),
-                (p.ids(p.V3), Interval.at_most(self.u_p)),
+                (p.V1, Interval.at_least(p.l_r)),
+                (only1, Interval(p.l_r, p.z_hi)),
+                (both, Interval(self.l_p, p.z_hi)),
+                (plain, Interval(p.l_r, self.u_p)),
+                (only2, Interval(p.z_lo, self.u_p)),
+                (p.V3, Interval.at_most(self.u_p)),
             ]
         )
 

@@ -53,7 +53,7 @@ class TopKCore(PhaseCore):
     ) -> None:
         super().__init__(channel, k, eps)
         self._top_ids = np.array([node for node, _ in probe[:k]], dtype=np.int64)
-        self._output = frozenset(int(i) for i in self._top_ids)
+        self._output = frozenset(self._top_ids.tolist())
         self.lo = probe[k][1]  # ℓ = v_{k+1}
         self.hi = probe[k - 1][1]  # u = v_k
         self.mode: str = ""

@@ -16,6 +16,13 @@ mirror what the paper's model allows:
   (Las Vegas, O(1) messages in expectation, ``≤ log n + 1`` rounds).
   The no-active case costs zero messages — the crucial property that lets
   filter-based algorithms be silent while nothing happens (Cor. 3.2).
+  Each protocol the paper builds on it is one call here, sharing one
+  round loop (:meth:`Channel._existence_run`): ``existence_any`` (the OR
+  of a predicate), ``existence_violation`` (Cor. 3.2 detection, the one
+  report the server acts on), ``existence_violations`` (every report of
+  that run) and ``existence_extremum`` (Lemma 2.6's whole max/min loop).
+  Each call charges its run once, with the same totals, scope
+  attribution and random draws as charging round by round.
 - ``collect_*`` — deterministic "everyone matching the predicate reports"
   probes: 1 broadcast for the query plus one upstream message per match.
   DENSEPROTOCOL uses these to seed its node partition and to evaluate its
@@ -120,7 +127,7 @@ class Channel:
         Every probability round of Cor. 3.2 runs (γ+1 of them) and nobody
         speaks, so the check costs exactly ``γ+1`` rounds, zero messages,
         and — crucially for the engine's quiet-row replay — consumes no
-        randomness: :meth:`_existence_collect` returns before touching
+        randomness: :meth:`_existence_run` returns before touching
         the RNG when the active set is empty.
         """
         return self._gamma + 1
@@ -147,17 +154,13 @@ class Channel:
         Parameters
         ----------
         groups:
-            ``(ids, interval)`` pairs; ids may be an ndarray, list, or
-            boolean mask.  Later groups override earlier ones on overlap.
+            ``(ids, interval)`` pairs; ids may be a set of node ids (the
+            phase cores' member sets), an ndarray, a list, or a boolean
+            mask.  Later groups override earlier ones on overlap, and
+            every group — empty ones included — is one state change.
         """
         self.ledger.charge_broadcast()
-        nodes = self._nodes
-        for ids, interval in groups:
-            ids = self._as_index(ids)
-            if ids.size:
-                nodes.set_filters_bulk(ids, interval.lo, interval.hi)
-            else:
-                nodes.touch()  # an empty group is still one state change
+        self._nodes.set_filter_groups(groups)
 
     def unicast_filter(self, node: int, interval: Interval) -> None:
         """Assign one node's filter with a direct message.  Cost: 1."""
@@ -192,93 +195,123 @@ class Channel:
     # ------------------------------------------------------------------ #
     # Existence protocol (Lemma 3.1) over node-local predicates
     # ------------------------------------------------------------------ #
-    def _existence_collect(
-        self, active: np.ndarray | None = None, *, active_ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run the EXISTENCE protocol over the active-node set.
+    def _existence_run(self, active_ids: np.ndarray) -> tuple[np.ndarray | None, int]:
+        """One run of the EXISTENCE protocol over ``active_ids``; charges nothing.
 
-        Pass either the boolean ``active`` mask or, for callers that
-        already hold the ids (the node array's cached violation batch),
-        ``active_ids`` — the coin-flip sequence is identical either way.
-        Returns the ``(ids, values)`` of the nodes that sent in the first
-        successful round (all their messages are charged).  Empty arrays
-        when no node is active; that case costs zero messages and
-        ``γ + 1`` rounds of silence.
+        Every entry point below shares this round loop: active nodes send
+        independently with probability ``min(1, base**r / n)`` in round
+        ``r``, one ``rng.random(len(active_ids))`` draw per round, and the
+        run ends in the first round in which somebody sends.  Returns the
+        senders of that round (ids in ``active_ids`` order) and the rounds
+        the run took; the caller charges both with one
+        :meth:`CostLedger.charge_run`.  ``(None, γ + 1)`` when nobody is
+        active: every round passes in silence and no randomness is drawn.
         """
-        if active_ids is None:
-            if active is None:
-                raise TypeError("pass exactly one of active= or active_ids=")
-            active_ids = active.nonzero()[0]
-        elif active is not None:
-            raise TypeError("pass exactly one of active= or active_ids=")
-        ledger = self.ledger
-        if active_ids.size == 0:
-            ledger.charge_rounds(self._gamma + 1)
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        size, random = active_ids.size, self.rng.random
+        size = active_ids.size
+        if not size:
+            return None, self._gamma + 1
+        random = self.rng.random
         probabilities = _send_probabilities(self.existence_base, self._nodes.n, self._gamma + 1)
         for r, p in enumerate(probabilities):
             senders = active_ids[random(size) < p]
             if senders.size:
-                ledger.charge_rounds(r + 1)  # rounds 0..r, one per draw
-                ledger.charge_up(senders.size)
-                return senders, self._nodes.values[senders]  # fancy index: a copy
+                return senders, r + 1
         raise AssertionError("existence protocol must fire by round gamma (p=1)")
 
     def existence_any(self, active: np.ndarray) -> bool:
         """Decide the OR of the predicate (Lemma 3.1).  O(1) expected msgs."""
-        ids, _ = self._existence_collect(active)
-        return ids.size > 0
+        senders, rounds = self._existence_run(active.nonzero()[0])
+        self.ledger.charge_run(rounds, 0 if senders is None else senders.size)
+        return senders is not None
+
+    def existence_violation(self, scope: str | None = None) -> Violation | None:
+        """Detect one filter-violation via the existence protocol (Cor. 3.2).
+
+        Every violating node (the node array's cached batch) participates
+        with a 1; all responders of the first successful round are charged,
+        and the report the server acts on — the responder with the lowest
+        id — is returned ("the server processes one violation at a time
+        ... and simply ignores" the rest).  ``None`` and no messages when
+        nothing violates.  Messages are attributed to ``scope`` (on top of
+        any open scopes) without a ``with ledger.scope(...)`` block.
+        """
+        nodes = self._nodes
+        senders, rounds = self._existence_run(nodes.violation_ids())
+        self.ledger.charge_run(rounds, 0 if senders is None else senders.size, scope=scope)
+        if senders is None:
+            return None
+        node = int(senders[0])
+        value = float(nodes.values[node])
+        # A violator under its lower bound crossed from above; that test
+        # comes first, so a node outside an empty filter (lo > hi) reads
+        # ABOVE, as NodeArray.violation_kind decides it.
+        kind = VIOLATION_ABOVE if value < nodes.filter_lo[node] else VIOLATION_BELOW
+        return Violation(node, value, kind)
 
     def existence_violations(self) -> list[Violation]:
-        """Detect filter-violations via the existence protocol (Cor. 3.2).
+        """Every responder's report of one Cor. 3.2 detection run.
 
-        Every violating node participates with a 1; responders of the first
-        successful round report ``(id, value)`` and whether they crossed
-        from below or above.  No violations → no messages.
+        Same protocol run and charges as :meth:`existence_violation`, for
+        callers that act on each report of the successful round (the
+        send-on-change baseline); an empty list when nothing violates.
         """
-        violating = self._nodes.violation_ids()  # cached batch containment test
-        ids, values = self._existence_collect(active_ids=violating)
-        if ids.size == 0:
+        nodes = self._nodes
+        senders, rounds = self._existence_run(nodes.violation_ids())
+        self.ledger.charge_run(rounds, 0 if senders is None else senders.size)
+        if senders is None:
             return []
-        kinds = self._nodes.violation_kind()[ids]
+        kinds = nodes.violation_kind()[senders]
+        values = nodes.values[senders]
         return [
             Violation(i, v, kind)
-            for i, v, kind in zip(ids.tolist(), values.tolist(), kinds.tolist())
+            for i, v, kind in zip(senders.tolist(), values.tolist(), kinds.tolist())
         ]
 
-    def existence_above(
+    def existence_extremum(
         self,
         threshold: float,
         *,
-        strict: bool = True,
         exclude: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Existence-collect over nodes with value above ``threshold``.
+        lowest: bool = False,
+        scope: str | None = None,
+    ) -> tuple[int, float] | None:
+        """The max protocol of Lemma 2.6 (or its min mirror), whole.
 
-        The caller is responsible for having announced the threshold (one
-        :meth:`announce`); this method charges only the upstream messages.
-        ``exclude`` silences nodes the server already heard from (they were
-        told to stand down with a :meth:`notify` unicast, charged by the
-        caller).  Used by the max-finding protocol of Lemma 2.6.
+        Repeats: announce the threshold (one broadcast), run the existence
+        protocol over the nodes strictly above it (below, for
+        ``lowest=True``), and jump the threshold to the best value heard.
+        Returns ``(id, value)`` of the last jump — the largest (smallest)
+        value among non-excluded nodes beyond the initial ``threshold``,
+        ties to the lowest id among that round's senders — or ``None``
+        when no node qualifies.  ``exclude`` silences nodes the server
+        already heard from (their stand-down unicasts are the caller's).
+
+        Each round's active set is a fresh mask of the nodes beyond the
+        threshold; the exclusion ids are converted once per run.
+        Announcements, rounds and replies are charged once at the end,
+        attributed to ``scope``.
         """
-        mask = self._nodes.mask_above(threshold, strict=strict)  # a fresh array
-        if exclude is not None and len(exclude) > 0:
-            mask[np.asarray(exclude, dtype=np.int64)] = False
-        return self._existence_collect(mask)
-
-    def existence_below(
-        self,
-        threshold: float,
-        *,
-        strict: bool = True,
-        exclude: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mirror of :meth:`existence_above` for the min-finding protocol."""
-        mask = self._nodes.mask_below(threshold, strict=strict)  # a fresh array
-        if exclude is not None and len(exclude) > 0:
-            mask[np.asarray(exclude, dtype=np.int64)] = False
-        return self._existence_collect(mask)
+        values = self._nodes.values
+        exclude = np.asarray(exclude, dtype=np.int64) if exclude is not None and len(exclude) > 0 else None
+        best: tuple[int, float] | None = None
+        announcements = rounds = replies = 0
+        while True:
+            mask = values < threshold if lowest else values > threshold
+            if exclude is not None:
+                mask[exclude] = False
+            active = mask.nonzero()[0]
+            announcements += 1
+            senders, used = self._existence_run(active)
+            rounds += used
+            if senders is None:
+                break
+            replies += senders.size
+            heard = values[senders]
+            node = int(senders[heard.argmin() if lowest else heard.argmax()])
+            threshold = float(values[node])
+            best = (node, threshold)
+        self.ledger.charge_run(rounds, replies, announcements, scope)
+        return best
 
     def report_violations_all(self) -> list[Violation]:
         """Every violating node reports directly (no existence batching).
@@ -320,22 +353,26 @@ class Channel:
         mask = self._nodes.mask_above(lo, strict=False) & self._nodes.mask_below(hi, strict=False)
         return self._collect(mask)
 
-    def count_above(self, threshold: float, *, strict: bool = True) -> int:
-        """Number of nodes above ``threshold`` (1 broadcast + 1 msg each)."""
-        ids, _ = self.collect_above(threshold, strict=strict)
-        return int(ids.size)
+    def count_above(self, threshold: float, *, strict: bool = True, scope: str | None = None) -> int:
+        """Number of nodes above ``threshold`` (1 broadcast + 1 msg each).
+
+        Charged like :meth:`collect_above`, attributed to ``scope``.
+        """
+        return self._count(self._nodes.mask_above(threshold, strict=strict), scope)
 
     def count_below(self, threshold: float, *, strict: bool = True) -> int:
         """Number of nodes below ``threshold`` (1 broadcast + 1 msg each)."""
-        ids, _ = self.collect_below(threshold, strict=strict)
-        return int(ids.size)
+        return self._count(self._nodes.mask_below(threshold, strict=strict), None)
 
     def _collect(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self.ledger.charge_broadcast()  # the query
-        self.ledger.charge_rounds(1)
         ids = mask.nonzero()[0]
-        self.ledger.charge_up(ids.size)
+        self.ledger.charge_run(1, ids.size, 1)  # the query, one round, the replies
         return ids, self._nodes.values[ids]  # fancy index: a copy
+
+    def _count(self, mask: np.ndarray, scope: str | None) -> int:
+        count = int(np.count_nonzero(mask))
+        self.ledger.charge_run(1, count, 1, scope)
+        return count
 
     # ------------------------------------------------------------------ #
     # Deterministic violation search (the pre-Lemma-3.1 baseline)
@@ -374,13 +411,6 @@ class Channel:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _as_index(ids: object) -> np.ndarray:
-        arr = np.asarray(ids)
-        if arr.dtype == bool:
-            return np.flatnonzero(arr)
-        return arr.astype(np.int64, copy=False)
-
     def current_filters(self) -> tuple[np.ndarray, np.ndarray]:
         """The filters the server assigned (server-side knowledge, free)."""
         return self._nodes.filter_lo.copy(), self._nodes.filter_hi.copy()

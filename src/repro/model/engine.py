@@ -347,6 +347,7 @@ class MonitoringEngine:
                 step(row, False)
             return self._t
         nodes, rounds = self.nodes, self.algorithm.quiet_step_rounds()
+        any_row = np.logical_or.reduce  # ndarray.any without its Python wrapper
         i, rows, window = 0, block.shape[0], _SCAN_WINDOW
         while i < rows:
             if not self._t or self._irregular:  # on_start / object fallback
@@ -355,7 +356,7 @@ class MonitoringEngine:
                 continue
             chunk = block[i : i + window]
             outside = (chunk > nodes.filter_hi) | (chunk < nodes.filter_lo)
-            hits = outside.any(axis=1).nonzero()[0]
+            hits = any_row(outside, axis=1).nonzero()[0]
             quiet = int(hits[0]) if hits.size else chunk.shape[0]
             if quiet:
                 nodes.values[:] = chunk[quiet - 1]
@@ -473,7 +474,9 @@ class MonitoringEngine:
                 cur = np.fromiter(out, dtype=np.int64, count=k)
                 cur.sort()
                 prev_row = self._prev_row
-                if prev_row is not None and not np.array_equal(cur, prev_row):
+                # Both rows are sorted length-k id arrays, so list equality
+                # is row equality (and far cheaper than np.array_equal).
+                if prev_row is not None and cur.tolist() != prev_row.tolist():
                     self._changes += 1
                 self._prev_row = cur
         else:
@@ -484,6 +487,10 @@ class MonitoringEngine:
                     self._changes = _count_changes(done)
                     self._outputs_list = [frozenset(r) for r in done.tolist()]
                     self._previous = self._outputs_list[-1] if t else None
+                    # Nothing reads the row buffer again, and rows past
+                    # ``t`` are never written: keeping it would pickle
+                    # uninitialised memory into every later checkpoint.
+                    self._rows = None
                 elif self._prev_row is not None:
                     self._previous = frozenset(self._prev_row.tolist())
             if record:

@@ -217,24 +217,66 @@ class CostLedger:
         if count < 0:
             raise ValueError(f"negative message count {count}")
         self.node_to_server += count
-        if self._scopes:
-            self._charge_scopes(count)
+        scopes = self._scopes
+        if scopes:
+            if len(scopes) == 1:
+                self._by_scope[scopes[0]] += count
+            else:
+                self._charge_scopes(count)
 
     def charge_down(self, count: int = 1) -> None:
         """Charge ``count`` server→node unicast messages."""
         if count < 0:
             raise ValueError(f"negative message count {count}")
         self.server_to_node += count
-        if self._scopes:
-            self._charge_scopes(count)
+        scopes = self._scopes
+        if scopes:
+            if len(scopes) == 1:
+                self._by_scope[scopes[0]] += count
+            else:
+                self._charge_scopes(count)
 
     def charge_broadcast(self, count: int = 1) -> None:
         """Charge ``count`` broadcasts (``broadcast_cost`` units each)."""
         if count < 0:
             raise ValueError(f"negative message count {count}")
         self.broadcasts += count
-        if self._scopes:
-            self._charge_scopes(count * self.broadcast_cost)
+        scopes = self._scopes
+        if scopes:
+            if len(scopes) == 1:
+                self._by_scope[scopes[0]] += count * self.broadcast_cost
+            else:
+                self._charge_scopes(count * self.broadcast_cost)
+
+    def charge_run(self, rounds: int, up: int, broadcasts: int = 0, scope: str | None = None) -> None:
+        """Charge one protocol run's totals in a single update.
+
+        The channel's fused existence-protocol entry points count a whole
+        run (every round, announcement and reply) and charge it here
+        once.  The result equals ``charge_broadcast(broadcasts)``,
+        ``charge_rounds(rounds)`` and ``charge_up(up)`` made inside
+        ``with scope(scope)`` — the same totals and the same ``by_scope``
+        keys in the same insertion order, since every charge of one run
+        is made under one scope stack — except that a run that sent no
+        message attributes nothing to any scope, exactly as the separate
+        calls leave ``by_scope`` when none of them is made.
+        """
+        self.rounds += rounds
+        self.node_to_server += up
+        self.broadcasts += broadcasts
+        amount = up + broadcasts * self.broadcast_cost
+        if not amount:
+            return
+        scopes = self._scopes
+        if scope is None:
+            if scopes:
+                self._charge_scopes(amount)
+        elif not scopes:
+            self._by_scope[scope] += amount
+        else:
+            scopes.append(scope)
+            self._charge_scopes(amount)
+            scopes.pop()
 
     def charge_rounds(self, count: int = 1) -> None:
         """Record ``count`` protocol rounds (free, but bounded)."""

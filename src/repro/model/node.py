@@ -16,19 +16,20 @@ exceeds ``hi`` (it crossed the upper boundary coming from below) and
 slightly counter-intuitive naming, kept here for 1:1 traceability.
 
 Filter-containment is the per-step hot predicate of every filter-based
-protocol, so the array keeps a *batched* violation state (per-node kind
-codes plus the violating ids) computed at most once per state version:
-every mutator bumps ``version`` and the next violation query recomputes
-the whole batch into preallocated buffers.  External code that mutates
-``values``/``filter_lo``/``filter_hi`` arrays directly (only the channel
-legitimately writes filters) must either go through the methods here or
-call :meth:`touch`.
+protocol, so the array keeps a *batched* violation state (the violating
+ids, plus per-node kind codes derived on demand) computed at most once
+per state version: every mutator bumps ``version`` and the next
+violation query recomputes the batch into preallocated buffers.
+External code that mutates ``values``/``filter_lo``/``filter_hi`` arrays
+directly (only the channel legitimately writes filters) must either go
+through the methods here or call :meth:`touch`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -42,6 +43,21 @@ VIOLATION_NONE = 0
 VIOLATION_BELOW = 1
 #: Violation *from above*: value < filter lower bound (Sect. 2.1).
 VIOLATION_ABOVE = 2
+
+#: Derived violation state: recomputed lazily per version and never
+#: pickled, so checkpoint bytes are a pure function of (values, filters,
+#: version) — ``np.empty`` scratch would otherwise leak uninitialized
+#: memory, and the cache contents would depend on whether violations
+#: were read since the last mutation.
+_VIOLATION_CACHE = (
+    "_viol_version",
+    "_viol_ids",
+    "_above_buf",
+    "_below_buf",
+    "_any_buf",
+    "_kind_version",
+    "_viol_kind",
+)
 
 
 class NodeArray:
@@ -64,12 +80,7 @@ class NodeArray:
         self.filter_hi = np.full(n, math.inf, dtype=np.float64)
         #: Monotone state version; bumped by every mutator.
         self.version = 0
-        # Batched violation state, recomputed lazily per version.
-        self._viol_version = -1
-        self._viol_kind = np.zeros(n, dtype=np.int8)
-        self._viol_ids = np.empty(0, dtype=np.int64)
-        self._above_buf = np.empty(n, dtype=bool)
-        self._below_buf = np.empty(n, dtype=bool)
+        self._reset_violation_cache()
 
     # ------------------------------------------------------------------ #
     # Value delivery (engine-side)
@@ -104,6 +115,28 @@ class NodeArray:
         self.filter_lo[ids] = lo
         self.filter_hi[ids] = hi
         self.version += 1
+
+    def set_filter_groups(self, groups: Iterable[tuple[object, Interval]]) -> None:
+        """Install a filter table: each ``(ids, interval)`` group in order.
+
+        ``ids`` is a set of node ids (a phase core's member set), an index
+        array or list, or a boolean mask.  Later groups override earlier
+        ones on overlap, and ``version`` advances once per group, empty
+        groups included — exactly one :meth:`set_filters_bulk` or
+        :meth:`touch` per group.
+        """
+        filter_lo, filter_hi = self.filter_lo, self.filter_hi
+        for ids, interval in groups:
+            if isinstance(ids, (set, frozenset)):
+                ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+            else:
+                ids = np.asarray(ids)
+                if ids.dtype == bool:
+                    ids = ids.nonzero()[0]
+            if ids.size:
+                filter_lo[ids] = interval.lo
+                filter_hi[ids] = interval.hi
+            self.version += 1
 
     def freeze_all(self) -> None:
         """Every node adopts the point filter ``[v_i, v_i]`` locally."""
@@ -144,7 +177,7 @@ class NodeArray:
         self.values = values_row
         self.filter_lo = lo_row
         self.filter_hi = hi_row
-        self._viol_version = -1
+        self._viol_version = self._kind_version = -1
 
     def unbind(self) -> None:
         """Detach from a shared block by re-owning copies of the rows.
@@ -157,7 +190,7 @@ class NodeArray:
         self.values = self.values.copy()
         self.filter_lo = self.filter_lo.copy()
         self.filter_hi = self.filter_hi.copy()
-        self._viol_version = -1
+        self._viol_version = self._kind_version = -1
 
     def advance_version(self, count: int) -> None:
         """Bump the state version by ``count`` mutations at once.
@@ -173,14 +206,8 @@ class NodeArray:
     # Pickling
     # ------------------------------------------------------------------ #
     def __getstate__(self):
-        # The violation cache and its scratch buffers are derived state,
-        # recomputed lazily per version.  Excluding them keeps checkpoint
-        # bytes a pure function of (values, filters, version): ``np.empty``
-        # scratch would otherwise leak uninitialized memory, and the cache
-        # contents would depend on whether violations were read since the
-        # last mutation.
         state = self.__dict__.copy()
-        for key in ("_viol_version", "_viol_kind", "_viol_ids", "_above_buf", "_below_buf"):
+        for key in _VIOLATION_CACHE:
             del state[key]
         return state
 
@@ -188,12 +215,18 @@ class NodeArray:
         # Intern keys like pickle's default load_build would, so restored
         # node arrays re-pickle with identical string memoization.
         self.__dict__.update({sys.intern(key): value for key, value in state.items()})
+        self._reset_violation_cache()
+
+    def _reset_violation_cache(self) -> None:
+        """(Re)create the derived violation state; see :data:`_VIOLATION_CACHE`."""
         n = self.n
         self._viol_version = -1
-        self._viol_kind = np.zeros(n, dtype=np.int8)
         self._viol_ids = np.empty(0, dtype=np.int64)
         self._above_buf = np.empty(n, dtype=bool)
         self._below_buf = np.empty(n, dtype=bool)
+        self._any_buf = np.empty(n, dtype=bool)
+        self._kind_version = -1
+        self._viol_kind = np.zeros(n, dtype=np.int8)
 
     def get_filter(self, node_id: int) -> Interval:
         """Return node ``node_id``'s current filter."""
@@ -203,31 +236,36 @@ class NodeArray:
     # Node-local predicates (free: local computation costs nothing)
     # ------------------------------------------------------------------ #
     def _refresh_violations(self) -> None:
-        """Batch-recompute the violation state for the current version."""
+        """Batch-recompute the violating ids for the current version.
+
+        Four numpy calls; the per-node kind codes are derived from the
+        same comparison buffers only when :meth:`violation_kind` asks.
+        """
         if self._viol_version == self.version:
             return
-        above, below, kind = self._above_buf, self._below_buf, self._viol_kind
+        above, below = self._above_buf, self._below_buf
         np.greater(self.values, self.filter_hi, out=above)
         np.less(self.values, self.filter_lo, out=below)
-        # ``kind`` is all-NONE exactly when the previous batch was empty,
-        # so silent refreshes write nothing.  The BELOW-then-ABOVE order
-        # decides nodes outside an empty filter (lo > hi) on both sides.
-        if self._viol_ids.size:
-            kind[:] = VIOLATION_NONE
-        ids = (above | below).nonzero()[0]
-        if ids.size:
-            kind[above] = VIOLATION_BELOW
-            kind[below] = VIOLATION_ABOVE
-        self._viol_ids = ids
+        self._viol_ids = np.logical_or(above, below, out=self._any_buf).nonzero()[0]
         self._viol_version = self.version
 
     def violation_kind(self) -> np.ndarray:
         """Per-node violation code (``VIOLATION_*``) for current values.
 
         Returns the cached batch buffer — treat it as read-only; it is
-        rewritten in place on the next state change.
+        rewritten in place on the next state change.  A node outside an
+        empty filter (``lo > hi``) on both sides reads
+        :data:`VIOLATION_ABOVE` (that write comes last), as
+        :meth:`Channel.existence_violation` classifies its one report.
         """
         self._refresh_violations()
+        if self._kind_version != self._viol_version:
+            kind = self._viol_kind
+            kind[:] = VIOLATION_NONE
+            if self._viol_ids.size:
+                kind[self._above_buf] = VIOLATION_BELOW
+                kind[self._below_buf] = VIOLATION_ABOVE
+            self._kind_version = self._viol_version
         return self._viol_kind
 
     def violation_ids(self) -> np.ndarray:
@@ -241,7 +279,7 @@ class NodeArray:
         Always a fresh array — callers may mutate it freely.
         """
         self._refresh_violations()
-        return self._viol_kind != VIOLATION_NONE
+        return self._any_buf.copy()
 
     def mask_above(self, threshold: float, *, strict: bool = True) -> np.ndarray:
         """Mask of nodes with value above ``threshold``."""

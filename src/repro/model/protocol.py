@@ -12,11 +12,10 @@ rounds between steps; the ledger audits this).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
-from repro.model.channel import Channel, Violation
+from repro.model.channel import Channel
 
-__all__ = ["MonitoringAlgorithm", "ProtocolError", "drain_violations"]
+__all__ = ["MonitoringAlgorithm", "ProtocolError"]
 
 #: Hard cap on violation-processing iterations within one time step.  A
 #: correct protocol settles in O(polylog) iterations; hitting the cap means
@@ -99,34 +98,3 @@ class MonitoringAlgorithm(ABC):
         """
         return None
 
-
-def drain_violations(
-    channel: Channel,
-    handle: Callable[[Violation], None],
-    *,
-    max_iterations: int = MAX_SETTLE_ITERATIONS,
-) -> int:
-    """Process filter-violations one at a time until the system is silent.
-
-    Implements the paper's convention that "the server processes one
-    violation at a time in an arbitrary order" and "may ignore" reports
-    made stale by filter updates: each loop iteration re-runs the
-    existence-based violation detection (Cor. 3.2) against the *current*
-    filters, so stale reports vanish by construction.  Multiple responders
-    in one existence round are all charged (their messages were sent), but
-    only the first is acted upon.
-
-    Returns the number of violations handled.  Raises
-    :class:`ProtocolError` if the handler fails to make progress.
-    """
-    handled = 0
-    for _ in range(max_iterations):
-        reports = channel.existence_violations()
-        if not reports:
-            return handled
-        handle(reports[0])
-        handled += 1
-    raise ProtocolError(
-        f"no settlement after {max_iterations} violation-processing iterations; "
-        "the protocol is not making progress (check `resolution` vs the stream's value grid)"
-    )

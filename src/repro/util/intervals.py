@@ -23,6 +23,7 @@ from typing import Iterator
 __all__ = ["Interval", "EMPTY"]
 
 _INF = math.inf
+_INFINITIES = (_INF, -_INF)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,21 +98,27 @@ class Interval:
     # ------------------------------------------------------------------ #
     # Measures
     # ------------------------------------------------------------------ #
+    # The guess-interval operations below run several times per handled
+    # violation, so they test emptiness (``lo > hi``) and unboundedness
+    # inline rather than through ``is_empty`` and ``math.isinf``.
+
     @property
     def width(self) -> float:
         """Length ``hi - lo`` (``0`` for empty intervals, ``inf`` allowed)."""
-        if self.is_empty:
+        lo, hi = self.lo, self.hi
+        if lo > hi:
             return 0.0
-        return self.hi - self.lo
+        return hi - lo
 
     @property
     def midpoint(self) -> float:
         """Arithmetic midpoint; requires a non-empty, bounded interval."""
-        if self.is_empty:
+        lo, hi = self.lo, self.hi
+        if lo > hi:
             raise ValueError("midpoint of an empty interval")
-        if math.isinf(self.lo) or math.isinf(self.hi):
+        if lo in _INFINITIES or hi in _INFINITIES:
             raise ValueError(f"midpoint of an unbounded interval {self}")
-        return (self.lo + self.hi) / 2.0
+        return (lo + hi) / 2.0
 
     # ------------------------------------------------------------------ #
     # Combinators
@@ -146,17 +153,13 @@ class Interval:
         emptiness via :attr:`is_empty` *or* width underflow (see
         :meth:`is_degenerate`).
         """
-        if self.is_empty:
-            return EMPTY
-        if self.lo == self.hi:
+        if self.lo > self.hi or self.lo == self.hi:
             return EMPTY
         return Interval(self.lo, self.midpoint)
 
     def upper_half(self) -> "Interval":
         """The closed upper half ``[mid, hi]`` (see :meth:`lower_half`)."""
-        if self.is_empty:
-            return EMPTY
-        if self.lo == self.hi:
+        if self.lo > self.hi or self.lo == self.hi:
             return EMPTY
         return Interval(self.midpoint, self.hi)
 
@@ -169,7 +172,8 @@ class Interval:
         below ``resolution`` as (effectively) empty.  ``resolution=1.0``
         recovers the paper's integral semantics.
         """
-        return self.is_empty or self.width < resolution
+        lo, hi = self.lo, self.hi
+        return lo > hi or hi - lo < resolution
 
     # ------------------------------------------------------------------ #
     # Dunder conveniences

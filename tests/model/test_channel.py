@@ -128,10 +128,16 @@ class TestExistence:
         assert seen_kinds == {VIOLATION_ABOVE, VIOLATION_BELOW}
 
     def test_existence_above_with_exclusion(self):
-        ch, _, _ = make_channel([5.0, 10.0, 20.0])
-        ids, values = ch.existence_above(1.0, exclude=np.array([1, 2]))
-        assert set(ids.tolist()) <= {0}
-        assert all(v == 5.0 for v in values)
+        ch, _, led = make_channel([5.0, 10.0, 20.0])
+        assert ch.existence_extremum(1.0, exclude=np.array([1, 2])) == (0, 5.0)
+        # announce, node 0 answers; announce 5.0, silence
+        assert led.broadcasts == 2 and led.node_to_server == 1
+
+    def test_existence_violation_silent_is_free(self):
+        ch, _, led = make_channel([1.0, 2.0])
+        assert ch.existence_violation(scope="violation_detection") is None
+        assert led.messages == 0 and led.by_scope() == {}
+        assert led.rounds == ch.existence_rounds
 
 
 class TestCollect:

@@ -20,19 +20,19 @@ def make_channel(values, seed=0, **kwargs):
 class TestExistenceBelow:
     def test_collects_only_below(self):
         ch, _, _ = make_channel([1.0, 5.0, 9.0])
-        ids, values = ch.existence_below(5.0)
-        assert set(ids.tolist()) <= {0}
-        assert all(v == 1.0 for v in values)
+        assert ch.existence_extremum(5.0, lowest=True) == (0, 1.0)
 
-    def test_nonstrict_and_exclude(self):
+    def test_exclusion_silences_lower_nodes(self):
         ch, _, _ = make_channel([1.0, 5.0, 9.0])
-        ids, _ = ch.existence_below(5.0, strict=False, exclude=np.array([0]))
-        assert set(ids.tolist()) <= {1}
+        assert ch.existence_extremum(9.0, lowest=True, exclude=np.array([0])) == (1, 5.0)
+        assert ch.existence_extremum(9.0, lowest=True, exclude=[0, 1]) is None
 
-    def test_silent_is_free(self):
+    def test_silent_costs_only_the_announcement(self):
         ch, _, led = make_channel([5.0, 9.0])
-        ids, _ = ch.existence_below(1.0)
-        assert ids.size == 0 and led.messages == 0
+        assert ch.existence_extremum(1.0, lowest=True, scope="min_protocol") is None
+        assert led.node_to_server == 0 and led.messages == 1
+        assert led.by_scope() == {"min_protocol": 1}
+        assert led.rounds == ch.existence_rounds
 
 
 class TestReportViolationsAll:

@@ -177,17 +177,11 @@ def test_irregular_outputs_leave_the_scan(size):
         block = data[lo : lo + size]
         scanned.advance(block, prevalidated=True)
         step_rows(stepped, block)
-        if not scanned._irregular:
-            assert_twins(scanned, stepped)
-            continue
-        # Past the switch the row buffer is dead and never written, so its
-        # pickled prefix holds uninitialised memory on both sides; compare
-        # the recorded rows and every other attribute byte for byte.
-        got, want = scanned.__getstate__(), stepped.__getstate__()
-        switch = next(t for t, out in enumerate(got["_outputs_list"]) if len(out) != K)
-        assert np.array_equal(got.pop("_rows")[:switch], want.pop("_rows")[:switch])
-        assert pickle.dumps(got) == pickle.dumps(want)
+        # Past the switch too: the dead row buffer is dropped, so no
+        # uninitialised memory reaches the pickle.
+        assert_twins(scanned, stepped)
     assert scanned._irregular and not scanned.batchable
+    assert scanned._rows is None
     a, b = scanned.finalize(), stepped.finalize()
     assert a.outputs == b.outputs
     assert a.output_changes == b.output_changes
