@@ -66,8 +66,7 @@ def render_stats(stats: dict[str, Any], width: int = 78) -> str:
     topology = f"{shards} shards" if shards is not None else "single process"
     lines.append(
         f"repro fleet · {topology} · {stats.get('sessions', 0)} sessions · "
-        f"metrics {'on' if stats.get('enabled') else 'off'} · "
-        f"batching {'on' if stats.get('batching') else 'off'}"
+        f"metrics {'on' if stats.get('enabled') else 'off'}"
     )
     lines.append("─" * width)
 
@@ -82,19 +81,15 @@ def render_stats(stats: dict[str, Any], width: int = 78) -> str:
 
     lines.append(
         f"requests {_fmt(total('repro_requests_total'))}   "
-        f"steps {_fmt(total('repro_steps_ingested_total'))}   "
-        f"batched ticks/steps {_fmt(total('repro_batched_ticks_total'))}/"
-        f"{_fmt(total('repro_batched_steps_total'))}   "
-        f"quiet/escalated {_fmt(total('repro_quiet_steps_total'))}/"
-        f"{_fmt(total('repro_escalated_steps_total'))}"
+        f"steps {_fmt(total('repro_steps_ingested_total'))}"
     )
 
     # Per-shard gauges (sharded topologies only).
     by_shard: dict[str, list[str]] = {}
     for key, value in sorted(gauges.items()):
         name, labels = metricslib.split_key(key)
-        if "shard" in labels and name == "repro_links_in_use":
-            by_shard.setdefault(labels["shard"], []).append(f"links {_fmt(value)}")
+        if "shard" in labels and name == "repro_forward_inflight":
+            by_shard.setdefault(labels["shard"], []).append(f"in flight {_fmt(value)}")
     for key, hist in sorted(histograms.items()):
         name, labels = metricslib.split_key(key)
         if name == "repro_forward_seconds" and "shard" in labels:

@@ -167,7 +167,6 @@ class AdminServer:
         out: dict[str, Any] = {
             "sessions": self._session_count(),
             "enabled": self.server.metrics.enabled,
-            "batching": self.server.batching,
             "metrics": metricslib.summarize(fleet),
         }
         shards = getattr(self.server, "num_shards", None)

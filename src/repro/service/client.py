@@ -57,7 +57,8 @@ class ServiceError(RuntimeError):
 #: (the client-side twin of the server's ``_INLINE_DECODE_BYTES``): a
 #: near-cap v1 b64 batch is tens of MB, and serializing it inline would
 #: stall every other coroutine sharing the loop — in particular the
-#: shard supervisor, which forwards feed batches through this client.
+#: shard supervisor, which re-encodes v1 feed batches for its worker
+#: links through :func:`encode_v2_request`.
 #: v2 framing is a memcpy, so only multi-MB payloads are worth the
 #: executor round trip.
 _INLINE_CODEC_BYTES = 64 * 1024
@@ -91,6 +92,23 @@ def _payload_size_hint(fields: dict[str, Any]) -> tuple[int, bool]:
     if isinstance(state, str):
         return len(state), False
     return 0, True
+
+
+async def encode_v2_request(message: dict[str, Any]) -> bytes:
+    """One v2 request frame, encoded off the event loop when its bulk is big.
+
+    Raw bulk (ndarray/bytes) frames as a memcpy, inline up to multi-MB;
+    text bulk (b64/json, the v1→v2 re-encode path through the shard
+    supervisor) pays a real decode + finiteness scan and keeps the small
+    v1 offload threshold.  An encode failure raises before anything is
+    written, so the caller's connection stays in sync.
+    """
+    size_hint, cheap_encode = _payload_size_hint(message)
+    threshold = _INLINE_FRAME_BYTES if cheap_encode else _INLINE_CODEC_BYTES
+    if size_hint > threshold:
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, wire.encode_frame, message)
+    return wire.encode_frame(message)
 
 
 def _default_wire() -> str:
@@ -179,14 +197,6 @@ class AsyncServiceClient:
                 )
         return client
 
-    def close(self) -> None:
-        """Synchronously drop the transport (no drain).
-
-        For pool management (e.g. the shard supervisor discarding a
-        poisoned link); ordinary callers should ``await aclose()``.
-        """
-        self._writer.close()
-
     async def aclose(self) -> None:
         self._writer.close()
         try:
@@ -205,19 +215,10 @@ class AsyncServiceClient:
     # ------------------------------------------------------------------ #
     async def _send(self, message: dict[str, Any]) -> None:
         """Encode one request per the negotiated framing and write it."""
-        loop = asyncio.get_running_loop()
-        size_hint, cheap_encode = _payload_size_hint(message)
         if self.wire_version == wire.WIRE_V2:
-            # Raw bulk (ndarray/bytes) frames as a memcpy — inline up to
-            # multi-MB; text bulk (b64/json, the v1→v2 re-encode path)
-            # pays a real decode + finiteness scan and keeps the small
-            # v1 offload threshold.
-            threshold = _INLINE_FRAME_BYTES if cheap_encode else _INLINE_CODEC_BYTES
-            if size_hint > threshold:
-                encoded = await loop.run_in_executor(None, wire.encode_frame, message)
-            else:
-                encoded = wire.encode_frame(message)
-        elif size_hint > _INLINE_CODEC_BYTES:
+            encoded = await encode_v2_request(message)
+        elif _payload_size_hint(message)[0] > _INLINE_CODEC_BYTES:
+            loop = asyncio.get_running_loop()
             encoded = await loop.run_in_executor(None, wire.encode_v1_message, message)
         else:
             encoded = wire.encode_v1_message(message)
@@ -256,9 +257,7 @@ class AsyncServiceClient:
             return wire.decode_line(line)
         except wire.WireError as exc:
             # Wrapped so that a raw WireError out of request() always
-            # means a *client-side encode* failure with nothing written
-            # — the shard link pool relies on that to know a link is
-            # still in sync (see shard._forward).
+            # means a *client-side encode* failure with nothing written.
             raise ServiceError(
                 f"server sent an invalid frame: {exc}", "WireError"
             ) from exc
@@ -336,55 +335,6 @@ class AsyncServiceClient:
                 "WireError",
             )
         return response
-
-    async def passthrough_frame(
-        self,
-        header: wire.FrameHeader,
-        meta: bytes,
-        payload: bytes,
-        session: int,
-    ) -> tuple[wire.FrameHeader, bytes, bytes]:
-        """Forward a pre-parsed v2 frame without decoding its bytes.
-
-        The shard supervisor's splice path: the frame goes out under
-        this link's own request id and the worker-local ``session``,
-        with the meta and payload segments written through verbatim;
-        the raw response frame parts come back for the caller to
-        re-head.  v2 links only.
-        """
-        if self.wire_version != wire.WIRE_V2:
-            raise ServiceError(
-                "passthrough_frame needs a v2 link", "WireError"
-            )
-        async with self._lock:
-            await self._drain_pending()
-            self._raise_pipeline_error()
-            self._next_id += 1
-            self._writer.write(
-                wire.pack_header(
-                    kind=header.kind,
-                    code=header.code,
-                    request_id=self._next_id,
-                    session=session,
-                    meta_len=header.meta_len,
-                    payload_len=header.payload_len,
-                )
-            )
-            if meta:
-                self._writer.write(meta)
-            if payload:
-                self._writer.write(payload)
-            await self._writer.drain()
-            frame = await wire.read_frame(self._reader)
-            if frame is None:
-                raise ServiceError("connection closed by server", "ConnectionClosed")
-            if frame[0].request_id != self._next_id:
-                raise ServiceError(
-                    f"response id {frame[0].request_id!r} does not match request "
-                    f"{self._next_id!r} (protocol desync)",
-                    "WireError",
-                )
-            return frame
 
     # ------------------------------------------------------------------ #
     # Ops
@@ -488,21 +438,11 @@ class AsyncServiceClient:
     async def list_sessions(self) -> list[dict[str, Any]]:
         return (await self.request("list"))["sessions"]
 
-    async def set_batching(self, enabled: bool = True) -> dict[str, Any]:
-        """Toggle the server's cross-session feed coalescing.
-
-        Batching is on by default and observably invisible (per-session
-        responses, costs and checkpoints are bit-identical either way);
-        turning it off pins every feed to the serial path.  On a sharded
-        server the toggle fans out to every worker.
-        """
-        return await self.request("batch", enabled=enabled)
-
     async def metrics(self, enabled: bool | None = None) -> dict[str, Any]:
         """Scrape the server's metrics registry (fleet-wide on shards).
 
-        ``enabled`` toggles the optional telemetry first — like batching,
-        the toggle is observably invisible to session results.  With no
+        ``enabled`` toggles the optional telemetry first; the toggle is
+        observably invisible to session results.  With no
         argument this is a pure read.
         """
         fields = {} if enabled is None else {"enabled": enabled}
@@ -613,9 +553,6 @@ class ServiceClient:
 
     def list_sessions(self) -> list[dict[str, Any]]:
         return self._call(self._client.list_sessions())
-
-    def set_batching(self, enabled: bool = True) -> dict[str, Any]:
-        return self._call(self._client.set_batching(enabled))
 
     def metrics(self, enabled: bool | None = None) -> dict[str, Any]:
         return self._call(self._client.metrics(enabled))

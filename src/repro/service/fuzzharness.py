@@ -802,33 +802,10 @@ class TopologyHarness:
             results.append((topo.name, self._run(self._call(topo, run()))))
         self._compare("ping", ("ok", {"pong": True, "sessions": live}), results)
 
-    def set_batching(self, enabled: bool) -> None:
-        """``batch``: toggle cross-session coalescing on every topology.
-
-        Batching is a *transparent* performance mode — the cohort law
-        says a batched session's observables are bit-identical to the
-        serial path's — so the oracle has no batching concept at all.
-        The op's own ack is asserted per-topology, and every later
-        feed/cost/snapshot comparison against the oracle is exactly the
-        check that toggling mid-sequence moved nothing observable.
-        """
-        self._barrier()
-        self._record("batch", enabled=enabled)
-        for topo in self._topologies:
-            assert topo.client is not None
-            outcome = self._run(
-                self._call(topo, topo.client.set_batching(enabled))
-            )
-            if outcome[0] != "ok" or outcome[1].get("batching") is not enabled:
-                self._fail(
-                    f"op 'batch': [{topo.name}] answered {outcome[0]} "
-                    f"{_short(outcome[1])} (expected batching={enabled})"
-                )
-
     def set_metrics(self, enabled: bool) -> None:
         """``metrics``: toggle the ops-plane telemetry on every topology.
 
-        Like batching, metrics are a *transparent* mode: instruments
+        Metrics are a *transparent* mode: instruments
         observe session state but never touch it, so the oracle has no
         metrics concept and every later feed/cost/snapshot comparison is
         the check that toggling (and scraping) moved nothing observable
@@ -850,7 +827,7 @@ class TopologyHarness:
     def set_durability(self, enabled: bool) -> None:
         """``durability``: toggle WAL appends on every topology.
 
-        Durability is transparent like batching and metrics: the log
+        Durability is transparent like metrics: the log
         observes acknowledged ops but never session state, so the
         oracle has no durability concept and every later comparison is
         the check that toggling (re-enabling forces a full checkpoint)
@@ -1025,7 +1002,6 @@ class TopologyHarness:
             "list": self.list_sessions,
             "ping": self.ping,
             "upgrade_wire": self.upgrade_wire,
-            "batch": lambda: self.set_batching(op["enabled"]),
             "metrics": lambda: self.set_metrics(op["enabled"]),
             "durability": lambda: self.set_durability(op["enabled"]),
             "migrate": lambda: self.migrate(op["session"]),

@@ -379,7 +379,7 @@ class GenerationAggregator:
 
     Each shard worker's registry dies with its process; the supervisor
     feeds every scraped dump in here tagged with the worker's
-    *generation* (bumped on every link-pool drop, i.e. every restart).
+    *generation* (its process id, so every restart starts a new one).
     On a generation change the previous dump's monotone slice is folded
     into a carried base, so ``shard_totals()`` — ``carry + last`` —
     never decreases even though the fresh worker restarts from zero.

@@ -17,7 +17,8 @@ its table from :data:`OPS`:
 - :func:`inline_ops` / :func:`passthrough_codes` for the fast-path sets,
 - the state machine reads per-op legality straight off the specs.
 
-Codes are part of the wire format: never reassign, only append.
+Codes are part of the wire format: never reassign, only append.  A
+code whose op was deleted stays in :data:`RESERVED_CODES` for good.
 This module imports nothing outside the stdlib so that every service
 module (including ``wire``) can import it without cycles.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "OP_CODES",
     "OP_NAMES",
     "BY_NAME",
+    "RESERVED_CODES",
     "OpSpec",
     "handler_table",
     "inline_ops",
@@ -93,10 +95,13 @@ OPS: tuple[OpSpec, ...] = (
     OpSpec("shutdown", 12, "shutdown", inline=True),
     OpSpec("migrate", 13, "migrate", needs_session=True, supervisor_only=True),
     OpSpec("hello", 14, None, inline=True),
-    OpSpec("batch", 15, "set_batching", inline=True),
     OpSpec("metrics", 16, "metrics", inline=True),
     OpSpec("durability", 17, "durability", inline=True),
 )
+
+#: Codes of deleted ops, never to be reused: 15 was ``batch``, the
+#: runtime toggle of the served cross-session feed coalescing.
+RESERVED_CODES: frozenset[int] = frozenset({15})
 
 BY_NAME: dict[str, OpSpec] = {spec.name: spec for spec in OPS}
 
@@ -107,6 +112,8 @@ OP_NAMES: dict[int, str] = {spec.code: spec.name for spec in OPS}
 
 if len(BY_NAME) != len(OPS) or len(OP_NAMES) != len(OPS):
     raise AssertionError("op registry has duplicate names or codes")
+if RESERVED_CODES & set(OP_NAMES):
+    raise AssertionError("op registry reuses a reserved code")
 
 
 def vocabulary(*, supervisor: bool = False) -> frozenset[str]:

@@ -8,12 +8,17 @@ Design points:
 
 - **Batched ingestion** — clients feed ``(B, n)`` blocks, so the
   per-message protocol overhead amortizes over B time steps.
-- **Per-session locks, shared executor** — monitoring work is
-  synchronous CPU-bound Python; each request's heavy part runs in the
-  default thread-pool executor so the event loop keeps serving other
-  connections, and a per-session :class:`asyncio.Lock` serializes
-  mutations of one session (two clients feeding the same session
-  interleave at block granularity, never mid-step).
+- **Feeds on the event loop** — a ``feed`` runs ``Session.feed``
+  directly on the loop under its session's :class:`asyncio.Lock`: an
+  executor hand-off costs CPU comparable to the engine's work on a
+  quiet frame.  So a frame holds the whole process for its service
+  time; tenants that need isolation from each other go to separate
+  shards.  Ops whose work is not bounded by a frame — ``create``,
+  ``restore``, ``snapshot``, ``finalize``, ``advance`` — and the
+  decode of big v1 payloads still run in the default thread-pool
+  executor.  The per-session lock serializes mutations of one session
+  (two clients feeding the same session interleave at block
+  granularity, never mid-step).
 - **Small-op fast path** — cheap ops (:data:`MonitoringServer.
   INLINE_OPS`) are served entirely on the event loop: no executor
   round trip, no off-loop codec, just a dict and a write.
@@ -23,15 +28,6 @@ Design points:
   *framing* violation (bad magic/version/length) is the one fatal
   case: the stream cannot be resynchronized, so the server answers
   once and closes that connection.
-
-- **Cross-session batch ticks** — batchable feeds that arrive from
-  *different* connections while a tick is in flight coalesce on a
-  per-cohort gate and advance together through one vectorized
-  :class:`~repro.service.session.SessionBatch` pass (bit-identical per
-  session to the serial path; toggled at runtime by the ``batch`` op).
-  The per-session locks stay the serialization boundary: a feeder
-  holds its session's lock for the whole tick it participates in.
-
 - **Optional durability** — with a WAL directory configured, every
   acknowledged state-changing op is appended to the write-ahead log of
   :mod:`repro.service.wal` *before* its ack leaves the process, and
@@ -44,7 +40,7 @@ docs/ARCHITECTURE.md for the full schema):
 
 ``hello``, ``ping``, ``create``, ``feed``, ``advance``, ``query``,
 ``cost``, ``snapshot``, ``restore``, ``finalize``, ``close``,
-``list``, ``shutdown``, ``batch``, ``metrics``, ``durability``.
+``list``, ``shutdown``, ``metrics``, ``durability``.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import numpy as np
 from repro.service import metrics as metricslib
 from repro.service import ops, wire
 from repro.service import wal as wallib
-from repro.service.session import Session, SessionBatch, session_from_wire
+from repro.service.session import Session, session_from_wire
 
 __all__ = ["MonitoringServer", "serve"]
 
@@ -72,17 +68,6 @@ class _SessionSlot:
     def __init__(self, session: Session) -> None:
         self.session = session
         self.lock = asyncio.Lock()
-
-
-class _CohortGate:
-    """One cohort's pending batched feeds + the drain task serving them."""
-
-    __slots__ = ("batch", "entries", "task")
-
-    def __init__(self, batch: SessionBatch) -> None:
-        self.batch = batch
-        self.entries: list[tuple[Session, np.ndarray, asyncio.Future]] = []
-        self.task: asyncio.Task | None = None
 
 
 class MonitoringServer:
@@ -138,11 +123,6 @@ class MonitoringServer:
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
         self._connections: set[asyncio.Task] = set()
-        #: Feed coalescing across connections (runtime-toggled by the
-        #: ``batch`` op).  Only batchable sessions with width-validated
-        #: blocks ever take the gate; everything else stays serial.
-        self.batching = True
-        self._cohorts: dict[tuple, _CohortGate] = {}
         #: The ops-plane registry (admin endpoint, ``metrics`` op).  Its
         #: ``enabled`` flag gates only the optional telemetry — per-op
         #: latency histograms, ring series — never the core counters.
@@ -150,10 +130,6 @@ class MonitoringServer:
         self._c_connections = self.metrics.counter("repro_connections_total")
         self._c_requests = self.metrics.counter("repro_requests_total")
         self._c_steps = self.metrics.counter("repro_steps_ingested_total")
-        self._c_batched_ticks = self.metrics.counter("repro_batched_ticks_total")
-        self._c_batched_steps = self.metrics.counter("repro_batched_steps_total")
-        self._c_escalated = self.metrics.counter("repro_escalated_steps_total")
-        self._c_quiet = self.metrics.counter("repro_quiet_steps_total")
         #: Totals for ``ping`` and the shutdown log line — a live view
         #: over the registry counters, keyed by the legacy names so the
         #: reply shapes (and the shard supervisor's in-place mutations)
@@ -162,17 +138,11 @@ class MonitoringServer:
             "connections": self._c_connections,
             "requests": self._c_requests,
             "steps_ingested": self._c_steps,
-            "batched_ticks": self._c_batched_ticks,
-            "batched_steps": self._c_batched_steps,
         })
         #: Lazily built per-op ``(counter, histogram)`` pairs (dispatch).
         self._per_op: dict[str, tuple[metricslib.Counter, metricslib.Histogram]] = {}
         self._g_inflight = self.metrics.gauge("repro_executor_inflight")
         self.metrics.register_gauge_fn("repro_sessions", lambda: len(self._slots))
-        self.metrics.register_gauge_fn(
-            "repro_cohort_backlog",
-            lambda: sum(len(g.entries) for g in self._cohorts.values()),
-        )
         self._ingest_series = self.metrics.series("repro_steps_ingested_series")
         #: Durability plane.  ``durability`` (runtime-toggled by the op
         #: of the same name) gates *appending*; the WAL object itself
@@ -244,9 +214,7 @@ class MonitoringServer:
             self._bump_next_id(sid)
             return
         if op in ("finalize", "close"):
-            slot = self._slots.pop(sid, None)
-            if slot is not None:
-                self._cohort_leave(slot.session)
+            self._slots.pop(sid, None)
             return
         slot = self._slots.get(sid)
         if slot is None:
@@ -437,16 +405,7 @@ class MonitoringServer:
                 break  # peer died mid-frame
             if frame is None:
                 break  # peer closed
-            response = await self._respond_v2(frame)
-            if isinstance(response, (bytes, bytearray, memoryview)):
-                writer.write(response)
-            else:
-                # A spliced pass-through reply arrives as raw segments
-                # (header, meta, payload) — write them through without
-                # concatenating a fresh payload-sized buffer.
-                for part in response:
-                    if part:
-                        writer.write(part)
+            writer.write(await self._respond_v2(frame))
             await writer.drain()
 
     #: Frames above this size are JSON-decoded off the event loop.
@@ -458,9 +417,10 @@ class MonitoringServer:
     _INLINE_PAYLOAD_BYTES = 4 * 1024 * 1024
 
     #: Ops cheap enough to serve entirely on the event loop: no
-    #: executor round trip, no off-loop codec.  Everything else (feed /
-    #: advance / snapshot / restore / create / finalize) does CPU-bound
-    #: session work and goes through :meth:`_run_sync`.  This set is a
+    #: executor round trip, no off-loop codec.  ``feed`` also runs its
+    #: session work on the loop but decodes big v1 payloads off it;
+    #: advance / snapshot / restore / create / finalize go through
+    #: :meth:`_run_sync`.  This set is a
     #: *documented, tested contract*, not a dispatch switch: nothing
     #: branches on it at runtime — the handlers themselves simply never
     #: touch the executor, and tests/service/test_server.py's fast-path
@@ -605,17 +565,10 @@ class MonitoringServer:
         async with slot.lock:
             block = await self._decoded_block(payload)
             # The wire already validated shape and finiteness; the one
-            # check it cannot do — block width vs this session's n — is
-            # hoisted here so the serial and the batched path share a
-            # single prevalidation verdict (the engine's revalidation is
-            # skipped exactly when it passed).
-            prevalidated = block.shape[1] == session.config.n
-            if self.batching and prevalidated and session.batchable:
-                step, messages = await self._feed_batched(session, block)
-            else:
-                step, messages = await self._run_sync(
-                    self._feed_serial, session, block, prevalidated
-                )
+            # check it cannot do is block width vs this session's n, and
+            # the engine's revalidation is skipped exactly when it passed.
+            step = session.feed(block, prevalidated=block.shape[1] == session.config.n)
+            messages = session.messages
             # Logged inside the lock so the post-op step pairs with this
             # exact block — the replay idempotence key.
             self._wal_append(
@@ -660,86 +613,6 @@ class MonitoringServer:
         if size > self._INLINE_DECODE_BYTES:
             return await self._run_sync(wire.decode_values, payload)
         return wire.decode_values(payload)
-
-    @staticmethod
-    def _feed_serial(session: Session, block: np.ndarray, prevalidated: bool) -> tuple[int, int]:
-        step = session.feed(block, prevalidated=prevalidated)
-        return step, session.messages
-
-    async def _feed_batched(self, session: Session, block: np.ndarray) -> tuple[int, int]:
-        """Queue a width-validated feed on its cohort gate; await the tick.
-
-        The caller holds the session's slot lock for the whole wait, so
-        each session has at most one entry in flight — the invariant that
-        lets the drain task run tick work without taking locks itself.
-        """
-        key = session.cohort_key
-        gate = self._cohorts.get(key)
-        if gate is None:
-            gate = self._cohorts[key] = _CohortGate(SessionBatch(key))
-        gate.batch.join(session)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        gate.entries.append((session, block, future))
-        if gate.task is None or gate.task.done():
-            gate.task = asyncio.create_task(self._drain_cohort(gate))
-        return await future
-
-    async def _drain_cohort(self, gate: _CohortGate) -> None:
-        """Serve one cohort's queue until it runs dry.
-
-        Feeds that arrive while a tick is in the executor coalesce into
-        the next tick — natural micro-batching, no timers.  A
-        single-entry tick takes the plain serial path (the lone-tenant
-        case pays no binding overhead).  Per-entry failures resolve that
-        entry's future with the same exception the serial path would
-        have raised; a crash of the drain itself fails every parked
-        future rather than stranding its feeders.
-        """
-        while gate.entries:
-            entries, gate.entries = gate.entries, []
-            try:
-                if len(entries) == 1:
-                    session, block, future = entries[0]
-                    try:
-                        result = await self._run_sync(self._feed_serial, session, block, True)
-                    except Exception as exc:
-                        if not future.done():  # a dropped feeder cancels its future
-                            future.set_exception(exc)
-                    else:
-                        if not future.done():
-                            future.set_result(result)
-                    continue
-                batch = gate.batch
-                before_ticks, before_steps = batch.ticks, batch.batched_steps
-                before_esc, before_quiet = batch.escalated_steps, batch.quiet_steps
-                results = await self._run_sync(
-                    batch.feed_batch, [(session, block) for session, block, _ in entries]
-                )
-                self._c_batched_ticks.inc(batch.ticks - before_ticks)
-                self._c_batched_steps.inc(batch.batched_steps - before_steps)
-                self._c_escalated.inc(batch.escalated_steps - before_esc)
-                self._c_quiet.inc(batch.quiet_steps - before_quiet)
-                for (_session, _block, future), result in zip(entries, results):
-                    if future.done():  # a dropped feeder cancels its future
-                        continue
-                    if isinstance(result, Exception):
-                        future.set_exception(result)
-                    else:
-                        future.set_result(result)
-            except BaseException as exc:
-                for _session, _block, future in entries:
-                    if not future.done():
-                        if isinstance(exc, asyncio.CancelledError):
-                            future.cancel()
-                        else:
-                            future.set_exception(exc)
-                raise
-
-    def _cohort_leave(self, session: Session) -> None:
-        """Withdraw a dead session from its cohort's membership roster."""
-        gate = self._cohorts.get(session.cohort_key)
-        if gate is not None:
-            gate.batch.leave(session)
 
     async def _op_advance(self, message: dict[str, Any]) -> dict[str, Any]:
         sid, slot = self._slot(message)
@@ -813,7 +686,6 @@ class MonitoringServer:
         async with slot.lock:
             result = await self._run_sync(slot.session.finalize)
         del self._slots[sid]
-        self._cohort_leave(slot.session)
         self._drop_session_series(sid)
         self._wal_append({"op": "finalize", "session": sid})
         return {
@@ -831,9 +703,8 @@ class MonitoringServer:
         }
 
     async def _op_close(self, message: dict[str, Any]) -> dict[str, Any]:
-        sid, slot = self._slot(message)
+        sid, _slot = self._slot(message)
         del self._slots[sid]
-        self._cohort_leave(slot.session)
         self._drop_session_series(sid)
         self._wal_append({"op": "close", "session": sid})
         return {"session": sid, "closed": True}
@@ -843,21 +714,12 @@ class MonitoringServer:
         self.metrics.drop_series("repro_session_cost", session=sid)
         self.metrics.drop_series("repro_session_fchanges", session=sid)
 
-    async def _op_batch(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Toggle cross-session feed coalescing at runtime."""
-        enabled = message.get("enabled", True)
-        if not isinstance(enabled, bool):
-            raise wire.WireError(f"batch enabled must be a bool, got {enabled!r}")
-        self.batching = enabled
-        return {"batching": enabled}
-
     async def _op_metrics(self, message: dict[str, Any]) -> dict[str, Any]:
         """Read (and optionally toggle) the ops-plane telemetry.
 
         With no ``enabled`` field this is a pure scrape.  The toggle is
         observably transparent — instruments never touch session state —
-        which the stateful fuzz tier checks differentially (the same
-        pattern as the ``batch`` toggle).
+        which the stateful fuzz tier checks differentially.
         """
         enabled = message.get("enabled")
         if enabled is not None and not isinstance(enabled, bool):
@@ -939,8 +801,9 @@ async def serve(
     ``shards=N`` starts the sharded supervisor of
     :mod:`repro.service.shard` with N worker processes — same wire
     protocol, served throughput scales with cores.
-    ``accept_wire=1`` pins the whole topology (front end and workers)
-    to the v1 JSON-lines framing.
+    ``accept_wire=1`` pins the client-facing listener to the v1
+    JSON-lines framing (a supervisor's links to its workers always
+    speak v2).
 
     ``announce`` receives the single ``serving on host:port`` line once
     the socket is bound — the CLI prints it (callers like

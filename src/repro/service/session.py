@@ -298,9 +298,9 @@ class Session:
         requirement of :class:`~repro.model.engine.EngineBatch`; the rest
         keeps each tick's workload homogeneous so one slow protocol
         cannot head-of-line-block an unrelated cohort.  The fifth cohort
-        component of the design — the wire-validated block width — is
-        enforced upstream: the server only routes a feed here after the
-        width == n prevalidation check passed.
+        component of the design — the block width — is the caller's to
+        check: :meth:`SessionBatch.feed_batch` takes only blocks exactly
+        ``n`` wide.
         """
         c = self.config
         return (c.algorithm, c.n, c.k, c.eps)
@@ -387,9 +387,10 @@ class Session:
 class SessionBatch:
     """A cohort of same-shape push-mode sessions fed in vectorized ticks.
 
-    The server keeps one ``SessionBatch`` per :attr:`Session.cohort_key`;
-    sessions :meth:`join` on their first batched feed and :meth:`leave`
-    when they finalize or close.  Membership is bookkeeping, not binding:
+    An in-process caller keeps one ``SessionBatch`` per
+    :attr:`Session.cohort_key`; sessions :meth:`join` before their first
+    batched feed and :meth:`leave` when they finalize or close (servers
+    feed each session on its own).  Membership is bookkeeping, not binding:
     each :meth:`feed_batch` tick binds the participating engines into an
     ephemeral :class:`~repro.model.engine.EngineBatch`, advances them in
     lockstep, and unbinds before returning — so between ticks every
@@ -401,7 +402,7 @@ class SessionBatch:
     def __init__(self, key: tuple) -> None:
         self.key = key
         self._members: dict[int, Session] = {}
-        #: vectorized ticks served / steps they advanced (server stats)
+        #: vectorized ticks served / steps they advanced
         self.ticks = 0
         self.batched_steps = 0
         #: member-steps that took the vectorized quiet path vs the
@@ -435,7 +436,7 @@ class SessionBatch:
         """Advance one prevalidated ``(B_i, n)`` block per session.
 
         Blocks must already be float64, finite, and exactly ``n`` wide
-        (the server's shared prevalidation check).  Returns one result
+        (checked by the caller).  Returns one result
         per entry, positionally: ``(step, messages)`` on success or the
         exception the serial path would have raised (the entry's session
         is left exactly as a serial feed raising mid-block would leave

@@ -17,10 +17,9 @@ placing them in separate OS processes.
   per-shard localhost socket, reached only by the supervisor.
 - :class:`ShardedMonitoringServer` — the supervisor: an asyncio
   acceptor speaking the *unchanged* client wire protocol, which
-  rewrites session ids and forwards each op to the owning shard over a
-  bounded per-shard connection pool (the pool bound is the
-  backpressure: at most ``links_per_shard`` requests are in flight per
-  shard, later requests wait).
+  rewrites session ids and forwards each op to the owning shard over
+  one multiplexed v2 link per worker.  Each link carries any number of
+  frames at once; a reader task matches replies to requests by id.
 
 Sessions stay *bit-identical* to single-process serving: a shard
 worker runs the very same ``Session``/engine stack, and the supervisor
@@ -31,8 +30,12 @@ on the fixed frame header alone, re-heads the frame with the
 worker-local session id, and splices the meta and payload bytes
 worker-ward without decoding them (only control ops — ``create``,
 ``restore``, ``migrate``, ``list``, ``ping``, ``hello``,
-``shutdown`` — take the full-decode path).  Checkpoint-based migration
-(the ``migrate`` op / :meth:`ShardedMonitoringServer.migrate_session`)
+``shutdown`` — take the full-decode path).  A v2 connection reads
+ahead: each pass-through frame goes to its worker's link as soon as it
+arrives, and the replies are written back in request order.  A worker
+serves its link one frame at a time, so each session's frames reach
+it in the order they arrived.  Checkpoint-based migration (the
+``migrate`` op / :meth:`ShardedMonitoringServer.migrate_session`)
 moves a live session between shards through the PR 3 snapshot format
 as raw blob frames, and :meth:`ShardedMonitoringServer.restart_shard`
 rebuilds a whole worker process around checkpoints of its sessions —
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import collections
 import hashlib
 import json
 import multiprocessing
@@ -55,7 +59,12 @@ from typing import Any
 from repro.service import metrics as metricslib
 from repro.service import ops, wire
 from repro.service import wal as wallib
-from repro.service.client import AsyncServiceClient, ServiceError
+from repro.service.client import (
+    _INLINE_FRAME_BYTES,
+    AsyncServiceClient,
+    ServiceError,
+    encode_v2_request,
+)
 from repro.service.server import MonitoringServer
 
 __all__ = [
@@ -76,12 +85,24 @@ _WORKER_START_TIMEOUT = 120.0
 #: How long a worker may take to exit after a shutdown request.
 _WORKER_STOP_TIMEOUT = 15.0
 
-#: Per-request ceiling on a supervisor->worker round trip.  Generous —
-#: a near-cap feed batch takes well under a second even on one core —
-#: but finite, so a *hung* (not dead) worker turns into ShardError
-#: responses instead of wedging route locks (and, transitively, the
-#: placement lock and every restart_shard) forever.
+#: Ceiling on a supervisor->worker round trip, enforced per link on
+#: its oldest pending frame (and on a reconnect's ``hello``: a stopped
+#: worker still completes TCP handshakes).  Generous — a near-cap feed
+#: batch takes well under a second even on one core — but finite, so a
+#: *hung* (not dead) worker turns into ShardError responses instead of
+#: wedging route locks (and, transitively, the placement lock and every
+#: restart_shard) forever.
 _FORWARD_TIMEOUT = 60.0
+
+#: Frames one v2 client connection may read ahead of its written
+#: replies.  The bound is the backpressure: a client that stops reading
+#: its replies stalls its own connection at this depth instead of
+#: growing the supervisor's memory.
+_READ_AHEAD = 64
+
+#: Pass-through op codes whose ``ok`` reply carries the session's step.
+_STEP_CODES = frozenset({wire.OP_CODES["feed"], wire.OP_CODES["advance"]})
+_FINALIZE_CODE = wire.OP_CODES["finalize"]
 
 
 class ShardError(RuntimeError):
@@ -128,7 +149,6 @@ class ShardRing:
 def shard_worker_main(
     ready,
     max_sessions: int,
-    accept_wire: int = wire.WIRE_V2,
     wal_dir: str | None = None,
     wal_fsync: bool = False,
     wal_checkpoint_bytes: int = wallib.DEFAULT_CHECKPOINT_BYTES,
@@ -138,11 +158,13 @@ def shard_worker_main(
     Runs a plain :class:`MonitoringServer` on an OS-assigned localhost
     port, reports that port through the ``ready`` pipe, then serves
     until the supervisor sends the ``shutdown`` op.  Exit code 0 means
-    a clean drain.  With ``wal_dir``, server construction *recovers*
-    first — a respawned worker replays its checkpoint + log tail and
-    re-hosts every acknowledged session under its original local id
-    (the restored id counter keeps supervisor routes valid) before the
-    port is announced.
+    a clean drain.  The worker always grants v2 frames: the
+    supervisor's link speaks nothing else, whatever framing the
+    client-facing listener is pinned to.  With ``wal_dir``, server
+    construction *recovers* first — a respawned worker replays its
+    checkpoint + log tail and re-hosts every acknowledged session under
+    its original local id (the restored id counter keeps supervisor
+    routes valid) before the port is announced.
     """
 
     async def run() -> None:
@@ -150,7 +172,6 @@ def shard_worker_main(
             "127.0.0.1",
             0,
             max_sessions=max_sessions,
-            accept_wire=accept_wire,
             wal_dir=wal_dir,
             wal_fsync=wal_fsync,
             wal_checkpoint_bytes=wal_checkpoint_bytes,
@@ -163,66 +184,185 @@ def shard_worker_main(
     asyncio.run(run())
 
 
-class _ShardWorker:
-    """One worker process plus the supervisor's link pool to it."""
+class _Link:
+    """One multiplexed v2 connection from the supervisor to a worker.
 
-    def __init__(self, index: int, links_per_shard: int) -> None:
+    Frames go out in call order and the worker serves its end of the
+    connection one frame at a time, so replies return in that order; a
+    reader task matches each reply to its pending entry by request id.
+    One timer per link holds the oldest pending frame to
+    :data:`_FORWARD_TIMEOUT`.  Any failure — the deadline, EOF, a
+    broken frame, a dropped link — answers every pending frame with
+    :class:`ShardError` and detaches the link from its worker, so the
+    next request reconnects.
+    """
+
+    def __init__(
+        self,
+        server: ShardedMonitoringServer,
+        worker: _ShardWorker,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        self.server = server
+        self.worker = worker
+        self.loop = asyncio.get_running_loop()
+        self.writer = writer
+        #: request id -> (send time, waiter).  The waiter is a future
+        #: for a control request and a splice tuple (see
+        #: :meth:`ShardedMonitoringServer._splice`) for a pass-through
+        #: frame.  Insertion order is send order: the first is oldest.
+        self.pending: dict[int, tuple[float, Any]] = {}
+        self.last_id = 0
+        self.timer: asyncio.TimerHandle | None = None
+        self.failed = False
+        self.reader_task = self.loop.create_task(self._read_replies(reader))
+
+    def next_id(self) -> int:
+        self.last_id += 1
+        return self.last_id
+
+    def track(self, request_id: int, waiter: Any) -> None:
+        """Register a frame just written; arm the deadline if idle."""
+        self.pending[request_id] = (time.perf_counter(), waiter)
+        if self.timer is None:
+            self.timer = self.loop.call_later(_FORWARD_TIMEOUT, self._check_deadline)
+
+    def _check_deadline(self) -> None:
+        self.timer = None
+        if self.failed or not self.pending:
+            return
+        oldest = next(iter(self.pending.values()))[0]
+        left = oldest + _FORWARD_TIMEOUT - time.perf_counter()
+        if left > 0:
+            self.timer = self.loop.call_later(left, self._check_deadline)
+        else:
+            self.fail(
+                ShardError(
+                    f"shard {self.worker.index} did not respond within "
+                    f"{_FORWARD_TIMEOUT:g}s"
+                )
+            )
+
+    async def _read_replies(self, reader: asyncio.StreamReader) -> None:
+        server, index = self.server, self.worker.index
+        try:
+            while True:
+                frame = await wire.read_frame(reader)
+                if frame is None:
+                    raise ShardError(f"shard {index} closed the connection")
+                entry = self.pending.pop(frame[0].request_id, None)
+                if entry is None:
+                    raise ShardError(
+                        f"shard {index} answered unknown request "
+                        f"{frame[0].request_id} (protocol desync)"
+                    )
+                sent, waiter = entry
+                if server.metrics.enabled:
+                    server._forward_hist(index).observe(time.perf_counter() - sent)
+                if type(waiter) is tuple:
+                    server._spliced(waiter, frame)
+                elif not waiter.done():  # a cancelled caller drops its reply
+                    waiter.set_result(frame)
+        except ShardError as exc:
+            self.fail(exc)
+        except Exception as exc:  # reset, truncated or malformed frame
+            self.fail(ShardError(f"shard {index} unavailable: {exc}"))
+
+    def fail(self, exc: ShardError) -> None:
+        """Close the link and answer every pending frame with ``exc``."""
+        if self.failed:
+            return
+        self.failed = True
+        if self.worker.link is self:
+            self.worker.link = None
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self.writer.transport.abort()
+        if self.reader_task is not asyncio.current_task():
+            self.reader_task.cancel()
+        pending, self.pending = self.pending, {}
+        for _sent, waiter in pending.values():
+            if type(waiter) is tuple:
+                replies, slot, request_id = waiter[:3]
+                replies.fill(slot, wire.encode_error_frame(request_id, exc))
+            elif not waiter.done():
+                waiter.set_exception(exc)
+
+
+class _ShardWorker:
+    """One worker process plus the supervisor's link to it."""
+
+    def __init__(self, index: int) -> None:
         self.index = index
         self.process: multiprocessing.process.BaseProcess | None = None
         self.port: int | None = None
-        #: Bumped by :meth:`drop_links`; a link checked out before the
-        #: bump must not re-enter the pool (it points at the old port).
-        self.generation = 0
-        #: Pool slots; ``None`` means "connect lazily on first use".
-        self.links: asyncio.Queue[AsyncServiceClient | None] = asyncio.Queue()
-        for _ in range(links_per_shard):
-            self.links.put_nowait(None)
+        #: The multiplexed link; ``None`` means "connect on next use".
+        self.link: _Link | None = None
+        #: Serializes reconnects, so concurrent requests share one.
+        self.connecting = asyncio.Lock()
 
-    async def acquire(self) -> AsyncServiceClient:
-        """Check a link out of the pool (the per-shard backpressure)."""
-        link = await self.links.get()
-        if link is None:
-            if self.port is None:
-                self.links.put_nowait(None)
-                raise ShardError(f"shard {self.index} is not running")
-            try:
-                # "auto": binary frames when the worker grants them (the
-                # pass-through splice path needs v2 links), JSON lines
-                # against a worker pinned to v1.
-                link = await AsyncServiceClient.connect(
-                    "127.0.0.1", self.port, wire_protocol="auto"
-                )
-            except OSError as exc:
-                self.links.put_nowait(None)
-                raise ShardError(f"shard {self.index} unreachable: {exc}") from exc
-            except ServiceError as exc:
-                self.links.put_nowait(None)
-                raise ShardError(
-                    f"shard {self.index} refused the link handshake: {exc}"
-                ) from exc
-        return link
+    def drop_link(self) -> None:
+        """Close the link (worker restart or shutdown), failing its frames."""
+        if self.link is not None:
+            self.link.fail(ShardError(f"shard {self.index} link closed"))
 
-    def release(self, link: AsyncServiceClient, *, broken: bool = False) -> None:
-        """Return a link; a broken one becomes a lazy reconnect slot."""
-        if broken:
-            link.close()
-            self.links.put_nowait(None)
-        else:
-            self.links.put_nowait(link)
 
-    def drop_links(self) -> None:
-        """Close every pooled link (worker restart or shutdown)."""
-        self.generation += 1
-        drained = []
-        while True:
-            try:
-                drained.append(self.links.get_nowait())
-            except asyncio.QueueEmpty:
-                break
-        for link in drained:
-            if link is not None:
-                link.close()
-            self.links.put_nowait(None)
+class _Replies:
+    """One v2 client connection's replies, written in request order.
+
+    Each frame read gets a slot in arrival order; a slot is filled when
+    its reply exists (at once for an error, when the worker answers for
+    a pass-through frame), and :meth:`flush` writes every filled slot
+    at the head of the line.
+    """
+
+    __slots__ = ("writer", "slots", "waiter", "closed")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.slots: collections.deque[list] = collections.deque()
+        #: ``(depth, future)`` of a reader parked in :meth:`settle`.
+        self.waiter: tuple[int, asyncio.Future] | None = None
+        self.closed = False
+
+    def reserve(self) -> list:
+        slot = [None]
+        self.slots.append(slot)
+        return slot
+
+    def fill(self, slot: list, reply: Any) -> None:
+        slot[0] = reply
+        self.flush()
+
+    def push(self, reply: Any) -> None:
+        self.fill(self.reserve(), reply)
+
+    def flush(self) -> None:
+        slots, writer = self.slots, self.writer
+        if writer.transport.is_closing():
+            self.closed = True  # the peer is gone: replies have nowhere to go
+        while slots and slots[0][0] is not None:
+            reply = slots.popleft()[0]
+            if self.closed:
+                continue
+            if isinstance(reply, tuple):
+                writer.writelines(reply)
+            else:
+                writer.write(reply)
+        waiter = self.waiter
+        if waiter is not None and len(slots) <= waiter[0]:
+            self.waiter = None
+            if not waiter[1].done():
+                waiter[1].set_result(None)
+
+    async def settle(self, depth: int) -> None:
+        """Wait until at most ``depth`` replies are unwritten."""
+        while len(self.slots) > depth:
+            future = asyncio.get_running_loop().create_future()
+            self.waiter = (depth, future)
+            await future
 
 
 class _Route:
@@ -251,11 +391,12 @@ class ShardedMonitoringServer(MonitoringServer):
     ----------
     shards:
         Worker process count (>= 1).
-    links_per_shard:
-        Supervisor connections per shard; bounds in-flight requests
-        per shard (backpressure — excess requests queue).
     ring_points:
         Virtual ring positions per shard (placement granularity).
+    accept_wire:
+        Highest framing the client-facing listener grants (see
+        :class:`MonitoringServer`); the links to the workers always
+        speak v2.
     wal_dir:
         Durability root: worker ``i`` write-ahead logs to
         ``wal_dir/shard-<i>``.  The supervisor itself hosts no sessions
@@ -272,7 +413,6 @@ class ShardedMonitoringServer(MonitoringServer):
         *,
         shards: int,
         max_sessions: int = 1024,
-        links_per_shard: int = 4,
         ring_points: int = 64,
         accept_wire: int = wire.WIRE_V2,
         wal_dir: str | Path | None = None,
@@ -291,8 +431,7 @@ class ShardedMonitoringServer(MonitoringServer):
         self.durability = self._wal_dir is not None
         self.num_shards = shards
         self.ring = ShardRing(shards, points=ring_points)
-        self._links_per_shard = links_per_shard
-        self._workers = [_ShardWorker(i, links_per_shard) for i in range(shards)]
+        self._workers = [_ShardWorker(i) for i in range(shards)]
         self._routes: dict[str, _Route] = {}
         # Serializes every operation that changes *where sessions live*
         # (create, restore, migrate, shard restart), so the session
@@ -301,8 +440,8 @@ class ShardedMonitoringServer(MonitoringServer):
         # order is always placement -> route.lock, never the reverse.
         self._placement = asyncio.Lock()
         # Supervisor-side ops-plane extras: per-shard forward latency,
-        # link-pool occupancy, restart/migration counters, and the
-        # cross-generation aggregator that keeps fleet counters
+        # frames in flight per link, restart/migration counters, and
+        # the cross-generation aggregator that keeps fleet counters
         # monotone across restart_shard (a worker's registry dies with
         # its process; see repro.service.metrics).
         self._c_migrations = self.metrics.counter("repro_migrations_total")
@@ -310,8 +449,8 @@ class ShardedMonitoringServer(MonitoringServer):
         self._forward_hists: dict[int, metricslib.Histogram] = {}
         for worker in self._workers:
             self.metrics.register_gauge_fn(
-                "repro_links_in_use",
-                lambda w=worker: links_per_shard - w.links.qsize(),
+                "repro_forward_inflight",
+                lambda w=worker: len(w.link.pending) if w.link else 0,
                 shard=worker.index,
             )
 
@@ -340,8 +479,11 @@ class ShardedMonitoringServer(MonitoringServer):
         process = _MP.Process(
             target=shard_worker_main,
             args=(
-                sender, self.max_sessions, self.accept_wire,
-                worker_wal, self._wal_fsync, self._wal_checkpoint_bytes,
+                sender,
+                self.max_sessions,
+                worker_wal,
+                self._wal_fsync,
+                self._wal_checkpoint_bytes,
             ),
             name=f"repro-shard-{worker.index}",
             daemon=True,
@@ -376,7 +518,7 @@ class ShardedMonitoringServer(MonitoringServer):
 
     async def _stop_worker(self, worker: _ShardWorker) -> None:
         """Gracefully drain one worker; escalate to terminate/kill."""
-        worker.drop_links()
+        worker.drop_link()
         process = worker.process
         if process is None:
             return
@@ -402,59 +544,72 @@ class ShardedMonitoringServer(MonitoringServer):
             if process.is_alive():
                 process.kill()
                 await loop.run_in_executor(None, process.join, 5)
+        worker.drop_link()  # one a racing reconnect opened meanwhile
         worker.port = None
 
     # ------------------------------------------------------------------ #
     # Forwarding
     # ------------------------------------------------------------------ #
-    async def _forward(self, shard: int, op: str, **fields: Any) -> dict[str, Any]:
-        """One request/response round trip to a shard worker.
-
-        Protocol-level errors from the worker re-raise as
-        :class:`ServiceError` (the envelope preserves their original
-        ``error_type``); transport failures become :class:`ShardError`
-        and poison the link so the pool reconnects lazily.
-        """
+    async def _link(self, shard: int) -> _Link:
+        """The shard's link, connected and upgraded to v2 on first use."""
         worker = self._workers[shard]
-        link = await worker.acquire()
-        generation = worker.generation
-        broken = False
-        started = time.perf_counter() if self.metrics.enabled else None
+        link = worker.link
+        if link is None:
+            async with worker.connecting:
+                link = worker.link
+                if link is None:
+                    link = worker.link = await self._connect(worker)
+        return link
+
+    async def _connect(self, worker: _ShardWorker) -> _Link:
+        port = worker.port
+        if port is None:
+            raise ShardError(f"shard {worker.index} is not running")
         try:
-            response = await asyncio.wait_for(
-                link.request(op, **fields), timeout=_FORWARD_TIMEOUT
+            reader, writer = await asyncio.wait_for(
+                _handshake(port), timeout=_FORWARD_TIMEOUT
             )
-            # The worker's envelope (its request id, ok flag) is link-local;
-            # the supervisor re-wraps the payload under the client's own id.
-            response.pop("id", None)
-            response.pop("ok", None)
-            return response
-        except wire.WireError:
-            # Client-side encode failure (e.g. a non-finite batch from a
-            # v1 client being re-encoded for the link): nothing was
-            # written, the link is still in sync — re-pool it healthy.
-            raise
-        except ServiceError as exc:
-            if exc.error_type == "ConnectionClosed":
-                broken = True
-                raise ShardError(f"shard {shard} closed the connection") from exc
-            raise  # clean worker-side error; the link is still in sync
-        except BaseException as exc:
-            broken = True  # cancelled, timed out, or failed mid-exchange
-            if isinstance(exc, asyncio.TimeoutError):
-                raise ShardError(
-                    f"shard {shard} did not respond within {_FORWARD_TIMEOUT:.0f}s"
-                ) from exc
-            if isinstance(exc, (ConnectionError, OSError, asyncio.IncompleteReadError)):
-                raise ShardError(f"shard {shard} unavailable: {exc}") from exc
-            raise
-        finally:
-            if started is not None:
-                self._forward_hist(shard).observe(time.perf_counter() - started)
-            # A generation bump mid-request means the worker was replaced
-            # under us: the link points at the old port and must not be
-            # re-pooled even though this exchange happened to succeed.
-            worker.release(link, broken=broken or worker.generation != generation)
+        except asyncio.TimeoutError:
+            raise ShardError(
+                f"shard {worker.index} did not answer the link handshake within "
+                f"{_FORWARD_TIMEOUT:g}s"
+            ) from None
+        except (OSError, wire.WireError) as exc:
+            raise ShardError(f"shard {worker.index} unreachable: {exc}") from exc
+        return _Link(self, worker, reader, writer)
+
+    async def _forward(self, shard: int, op: str, **fields: Any) -> dict[str, Any]:
+        """One control request/response round trip over a shard's link.
+
+        Worker-side errors re-raise as :class:`ServiceError` (the
+        envelope preserves their original ``error_type``); a failed link
+        raises :class:`ShardError`.  A request that cannot be encoded (a
+        v1 client's non-finite batch) raises ``WireError`` before
+        anything is written, so the link stays in sync.
+        """
+        link = await self._link(shard)
+        request_id = link.next_id()
+        data = await encode_v2_request({"id": request_id, "op": op, **fields})
+        if link.failed:  # dropped while a big frame encoded off the loop
+            raise ShardError(f"shard {shard} link closed")
+        future = link.loop.create_future()
+        link.writer.write(data)
+        link.track(request_id, future)
+        header, meta, payload = await future
+        if header.payload_len > _INLINE_FRAME_BYTES:
+            response = await link.loop.run_in_executor(
+                None, wire.decode_frame, header, meta, payload
+            )
+        else:
+            response = wire.decode_frame(header, meta, payload)
+        if not response.pop("ok"):
+            raise ServiceError(
+                response.get("error", "unknown error"), response.get("error_type", "")
+            )
+        # The worker's request id is link-local; the supervisor re-wraps
+        # the payload under the client's own id.
+        response.pop("id", None)
+        return response
 
     def _forward_hist(self, shard: int) -> metricslib.Histogram:
         hist = self._forward_hists.get(shard)
@@ -464,6 +619,12 @@ class ShardedMonitoringServer(MonitoringServer):
             )
         return hist
 
+    def _account(self, route: _Route, step: Any) -> None:
+        """Move a route's step echo forward to a worker-reported step."""
+        if isinstance(step, int) and step > route.step:
+            self._c_steps.inc(step - route.step)
+            route.step = step
+
     #: Session ops a v2 front-end connection forwards without decoding:
     #: the fixed header alone names the session, and the meta/payload
     #: bytes are spliced worker-ward verbatim.  Everything else (and
@@ -471,100 +632,143 @@ class ShardedMonitoringServer(MonitoringServer):
     #: Derived from the shared op registry (``passthrough=True`` specs).
     _PASSTHROUGH_CODES = ops.passthrough_codes()
 
-    async def _respond_v2(self, frame: tuple[wire.FrameHeader, bytes, bytes]):
-        header, meta, payload = frame
-        if header.code in self._PASSTHROUGH_CODES and header.session:
-            return await self._passthrough_v2(header, meta, payload)
-        return await super()._respond_v2(frame)
+    async def _serve_v2(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The pipelined binary-frame loop of a client connection.
 
-    async def _passthrough_v2(
-        self, header: wire.FrameHeader, meta: bytes, payload: bytes
-    ):
-        """Splice one session frame to its shard and re-head the reply.
-
-        The supervisor-side cost of a forwarded feed drops to two
-        header packs and the socket writes — no JSON parse, no base64,
-        no payload copy beyond the kernel's.
+        A pass-through frame whose route is free is spliced to its
+        worker's link as soon as it is read; its reply fills the frame's
+        slot when the worker answers.  Every other frame — a control op,
+        or a session frame whose route a ``migrate`` or
+        ``restart_shard`` holds, or whose link must reconnect — is
+        served before the next frame is read, so it is a barrier, and so
+        is a ``finalize``.  Replies are written in request order either
+        way.
         """
-        request_id = header.request_id
-        op = wire.OP_NAMES[header.code]
-        sid = f"s{header.session}"
-        route = self._routes.get(sid)
-        if route is None:
-            return wire.encode_error_frame(
-                request_id, KeyError(f"no such session {sid!r}")
-            )
+        replies = _Replies(writer)
+        routes, workers = self._routes, self._workers
         try:
-            async with route.lock:
-                reply, r_meta, r_payload = await self._forward_raw(
-                    route.shard, header, meta, payload, int(route.local[1:])
-                )
-                self.stats["requests"] += 1
-                if reply.code == wire.STATUS_OK:
-                    if op in ("feed", "advance"):
-                        # The only decoded bytes on this path: a tiny
-                        # {"step", "messages", ...} meta segment, for the
-                        # supervisor's step accounting.
-                        step = json.loads(r_meta).get("step") if r_meta else None
-                        if isinstance(step, int):
-                            self.stats["steps_ingested"] += step - route.step
-                            route.step = step
-                    elif op == "finalize":
-                        self._routes.pop(sid, None)
-            out_header = wire.pack_header(
-                kind=reply.kind,
-                code=reply.code,
-                request_id=request_id,
-                session=header.session if reply.session else 0,
-                meta_len=reply.meta_len,
-                payload_len=reply.payload_len,
-                response=True,
-            )
-            # Returned as raw segments: _serve_v2 writes them through
-            # without concatenating a payload-sized buffer in userland.
-            return out_header, r_meta, r_payload
-        except Exception as exc:  # fail closed, exactly like _respond_v2
-            return wire.encode_error_frame(request_id, exc)
-
-    async def _forward_raw(
-        self,
-        shard: int,
-        header: wire.FrameHeader,
-        meta: bytes,
-        payload: bytes,
-        local_session: int,
-    ) -> tuple[wire.FrameHeader, bytes, bytes]:
-        """One spliced round trip to a shard worker (the raw-frame twin
-        of :meth:`_forward`, with the same link-pool error contract)."""
-        worker = self._workers[shard]
-        link = await worker.acquire()
-        generation = worker.generation
-        broken = False
-        started = time.perf_counter() if self.metrics.enabled else None
-        try:
-            return await asyncio.wait_for(
-                link.passthrough_frame(header, meta, payload, local_session),
-                timeout=_FORWARD_TIMEOUT,
-            )
-        except ServiceError as exc:
-            if exc.error_type == "ConnectionClosed":
-                broken = True
-                raise ShardError(f"shard {shard} closed the connection") from exc
-            broken = True  # a WireError desync also poisons the link
-            raise
-        except BaseException as exc:
-            broken = True  # cancelled, timed out, or failed mid-exchange
-            if isinstance(exc, asyncio.TimeoutError):
-                raise ShardError(
-                    f"shard {shard} did not respond within {_FORWARD_TIMEOUT:.0f}s"
-                ) from exc
-            if isinstance(exc, (ConnectionError, OSError, asyncio.IncompleteReadError)):
-                raise ShardError(f"shard {shard} unavailable: {exc}") from exc
-            raise
+            while not self._stop.is_set():
+                if len(replies.slots) >= _READ_AHEAD:
+                    await replies.settle(_READ_AHEAD - 1)
+                await writer.drain()
+                try:
+                    frame = await wire.read_frame(reader)
+                except wire.WireError as exc:
+                    # Framing is broken: answer once (after the replies
+                    # already owed), then close — no resync is possible.
+                    replies.push(wire.encode_error_frame(0, exc))
+                    break
+                except asyncio.IncompleteReadError:
+                    break  # peer died mid-frame
+                if frame is None:
+                    break  # peer closed
+                header = frame[0]
+                if header.code not in self._PASSTHROUGH_CODES or not header.session:
+                    replies.push(await self._respond_v2(frame))
+                    continue
+                sid = f"s{header.session}"
+                route = routes.get(sid)
+                link = None
+                if route is not None and not route.lock.locked():
+                    link = workers[route.shard].link
+                if link is None:
+                    try:
+                        link = await self._await_route(sid, route)
+                    except Exception as exc:  # fail closed, like _respond_v2
+                        replies.push(wire.encode_error_frame(header.request_id, exc))
+                        continue
+                self._splice(link, sid, route, frame, replies)
+                if header.code == _FINALIZE_CODE:
+                    # The route goes when the reply arrives; frames read
+                    # after a finalize must find it gone, as they would
+                    # served one at a time.
+                    await replies.settle(0)
+            await replies.settle(0)  # answer everything read before closing
         finally:
-            if started is not None:
-                self._forward_hist(shard).observe(time.perf_counter() - started)
-            worker.release(link, broken=broken or worker.generation != generation)
+            replies.closed = True
+
+    async def _await_route(self, sid: str, route: _Route | None) -> _Link:
+        """A session frame's barrier: wait out a ``migrate`` or
+        ``restart_shard`` holding its route, then (re)connect the link."""
+        if route is not None:
+            async with route.lock:
+                link = await self._link(route.shard)
+                if self._routes.get(sid) is route:  # not finalized or lost
+                    return link
+        raise KeyError(f"no such session {sid!r}")
+
+    def _splice(
+        self,
+        link: _Link,
+        sid: str,
+        route: _Route,
+        frame: tuple[wire.FrameHeader, bytes, bytes],
+        replies: _Replies,
+    ) -> None:
+        """Re-head one session frame for its worker and write it through.
+
+        The supervisor-side cost of a forwarded feed is two header packs
+        and the socket writes — no JSON parse, no base64, no payload
+        copy.  The reply is handled by :meth:`_spliced`.
+        """
+        header, meta, payload = frame
+        request_id = link.next_id()
+        head = wire.pack_header(
+            kind=header.kind,
+            code=header.code,
+            request_id=request_id,
+            session=int(route.local[1:]),
+            meta_len=header.meta_len,
+            payload_len=header.payload_len,
+        )
+        if payload:
+            link.writer.writelines((head, meta, payload))
+        else:
+            link.writer.write(head + meta)
+        link.track(
+            request_id,
+            (
+                replies,
+                replies.reserve(),
+                header.request_id,
+                header.session,
+                sid,
+                route,
+                header.code,
+            ),
+        )
+        self._c_requests.inc()
+
+    def _spliced(
+        self, splice: tuple, frame: tuple[wire.FrameHeader, bytes, bytes]
+    ) -> None:
+        """A worker's reply to a spliced frame, as it arrives.
+
+        Steps are accounted here, in arrival order, not when the reply
+        is written: a reply written after a migration must neither roll
+        the route's step back nor count its steps twice.
+        """
+        replies, slot, request_id, session, sid, route, code = splice
+        reply, meta, payload = frame
+        if reply.code == wire.STATUS_OK:
+            if code in _STEP_CODES:
+                # The only decoded bytes on this path: a tiny
+                # {"step", "messages", ...} meta segment.
+                self._account(route, json.loads(meta).get("step") if meta else None)
+            elif code == _FINALIZE_CODE:
+                self._routes.pop(sid, None)
+        head = wire.pack_header(
+            kind=reply.kind,
+            code=reply.code,
+            request_id=request_id,
+            session=session if reply.session else 0,
+            meta_len=reply.meta_len,
+            payload_len=reply.payload_len,
+            response=True,
+        )
+        replies.fill(slot, (head + meta, payload) if payload else head + meta)
 
     def _new_sid(self) -> str:
         if len(self._routes) >= self.max_sessions:
@@ -730,14 +934,15 @@ class ShardedMonitoringServer(MonitoringServer):
                             continue
                         blobs.append((sid, route, snap["state"]))
                 if not worker_dead:
-                    # Harvest the dying registry under its current
-                    # generation tag; the fresh process restarts from
-                    # zero and the aggregator keeps fleet counters
-                    # monotone across the swap.
+                    # Harvest the dying registry under its process id;
+                    # the fresh process restarts from zero and the
+                    # aggregator keeps fleet counters monotone across
+                    # the swap.  The scrape also fences the link: it
+                    # lands behind every frame forwarded before it.
                     try:
                         scraped = await self._forward(index, "metrics")
                         self._gen_agg.update(
-                            index, worker.generation, scraped["metrics"]
+                            index, worker.process.pid, scraped["metrics"]
                         )
                     except (ShardError, ServiceError):
                         pass  # the tail counts die with the worker
@@ -749,9 +954,7 @@ class ShardedMonitoringServer(MonitoringServer):
                         self._wal_dir / f"shard-{index}", ignore_errors=True
                     )
                 await self._spawn_worker(worker)
-                if not self.batching:  # fresh workers default to batching on
-                    await self._forward(index, "batch", enabled=False)
-                if not self.metrics.enabled:  # ... and to metrics on
+                if not self.metrics.enabled:  # fresh workers default to metrics on
                     await self._forward(index, "metrics", enabled=False)
                 if self._wal_dir is not None and not self.durability:
                     # ... and to appending on
@@ -825,21 +1028,6 @@ class ShardedMonitoringServer(MonitoringServer):
             "stats": dict(self.stats),
         }
 
-    async def _op_batch(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Fan the batching toggle out to every worker (and this process).
-
-        Workers batch *internally* — the supervisor's routing stays
-        pass-through — so the toggle only matters where sessions live.
-        The supervisor's own flag is kept in sync for introspection.
-        """
-        enabled = message.get("enabled", True)
-        if not isinstance(enabled, bool):
-            raise wire.WireError(f"batch enabled must be a bool, got {enabled!r}")
-        for worker in self._workers:
-            await self._forward(worker.index, "batch", enabled=enabled)
-        self.batching = enabled
-        return {"batching": enabled}
-
     async def _op_metrics(self, message: dict[str, Any]) -> dict[str, Any]:
         """Fan a metrics toggle out to the fleet, then serve its dump."""
         enabled = message.get("enabled")
@@ -889,7 +1077,7 @@ class ShardedMonitoringServer(MonitoringServer):
                 payload = await self._forward(worker.index, "metrics")
             except (ShardError, ServiceError):
                 continue  # the carried totals below still count
-            self._gen_agg.update(worker.index, worker.generation, payload["metrics"])
+            self._gen_agg.update(worker.index, worker.process.pid, payload["metrics"])
         fleet = self.metrics_dump()
         # The supervisor's step counter is a routing-level echo of the
         # same physical steps the workers count; the shard-labelled
@@ -922,8 +1110,7 @@ class ShardedMonitoringServer(MonitoringServer):
                 session=route.local,
                 values=message.get("values"),
             )
-            self.stats["steps_ingested"] += payload["step"] - route.step
-            route.step = payload["step"]
+            self._account(route, payload["step"])
         return {
             "session": sid,
             "step": payload["step"],
@@ -939,8 +1126,7 @@ class ShardedMonitoringServer(MonitoringServer):
                 session=route.local,
                 steps=message.get("steps"),
             )
-            self.stats["steps_ingested"] += payload["step"] - route.step
-            route.step = payload["step"]
+            self._account(route, payload["step"])
         return {
             "session": sid,
             "step": payload["step"],
@@ -1047,6 +1233,23 @@ class ShardedMonitoringServer(MonitoringServer):
 ShardedMonitoringServer._OPS = ops.handler_table(
     ShardedMonitoringServer, supervisor=True
 )
+
+
+async def _handshake(port: int) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Open a link to a worker and upgrade it to v2 frames."""
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", port, limit=wire.MAX_LINE_BYTES
+    )
+    try:
+        wire.set_nodelay(writer)
+        writer.write(wire.encode_line({"id": 0, "op": "hello", "wire": wire.WIRE_V2}))
+        line = await reader.readline()
+        if not line or wire.decode_line(line).get("wire") != wire.WIRE_V2:
+            raise ShardError(f"worker on port {port} refused the v2 link handshake")
+    except BaseException:
+        writer.close()
+        raise
+    return reader, writer
 
 
 def _receive_port(receiver, process) -> int:

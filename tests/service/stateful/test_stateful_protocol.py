@@ -17,11 +17,12 @@ Sessions and snapshots live in bundles and *stay there* after
 finalize/close — ops addressed at dead ids are part of the vocabulary
 (every topology must answer KeyError), not noise to be filtered out.
 
-The file also holds the directed restart-vs-pipeline race (the one
-schedule hypothesis cannot reliably reach): a shard restart racing a
-window of in-flight ``feed_nowait``s must never hang and never corrupt
-— acked feeds survive into the replacement worker, unacked ones surface
-as clean ``ServiceError``s, and the session keeps serving.
+The file also holds the directed restart-vs-pipeline races (schedules
+hypothesis cannot reliably reach): a shard restart racing a window of
+in-flight ``feed_nowait``s must never hang and never corrupt — acked
+feeds survive into the replacement worker, unacked ones surface as
+clean ``ServiceError``s, and the session keeps serving — and checkpoint
+migrations racing the same window apply every feed exactly once.
 """
 
 import asyncio
@@ -227,12 +228,6 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.harness.upgrade_wire()
 
     @rule(enabled=st.booleans())
-    def toggle_batching(self, enabled):
-        # Flipping cohort coalescing mid-sequence must move nothing
-        # observable: later compared ops check that against the oracle.
-        self.harness.set_batching(enabled)
-
-    @rule(enabled=st.booleans())
     def toggle_metrics(self, enabled):
         # The metrics-on/off transparency law: scraping and toggling
         # telemetry mid-sequence must move nothing observable either.
@@ -264,11 +259,15 @@ TestProtocolMachine = ProtocolMachine.TestCase
 
 
 class TestRestartRacesPipeline:
-    """Directed schedule: shard restarts inside a feed_nowait window."""
+    """Directed schedules: a feed_nowait window crossing shard restarts
+    and checkpoint migrations."""
 
     N, FEEDS = 6, 48
 
-    def test_no_hang_no_corruption(self):
+    def _race(self, disrupt):
+        """Spam one session with 2-row feeds while ``disrupt(server, sid)``
+        runs; return ``(sent, errors, step, echoed)`` with ``echoed`` the
+        supervisor's step count for the session after one more feed."""
         accept = wire.WIRE_V1 if wire_pin() == "v1" else wire.WIRE_V2
 
         async def scenario():
@@ -296,12 +295,11 @@ class TestRestartRacesPipeline:
                             errors.append(exc)
                             return
                         sent += 1
-                        await asyncio.sleep(0)
+                        await asyncio.sleep(0.001)  # spread over the disruption
 
                 spam_task = asyncio.create_task(spam())
                 await asyncio.sleep(0.005)  # let a window get in flight
-                for index in range(server.num_shards):
-                    await server.restart_shard(index)
+                await disrupt(server, sid)
                 await spam_task
                 try:
                     await client.flush()
@@ -310,27 +308,49 @@ class TestRestartRacesPipeline:
 
                 # Unacked feeds surface as clean ServiceErrors (asserted
                 # by the except clauses above — anything else propagates
-                # and fails the test); acked feeds survived the restart:
-                # the session keeps serving and its step counts exactly
-                # the applied blocks.
+                # and fails the test); the session keeps serving.
                 status = await client.query(sid)
-                # Each 2-row block advances the step clock by 2; an odd
-                # step would mean a block was half-applied by a restart.
-                assert 0 <= status["step"] <= 2 * sent
-                assert status["step"] % 2 == 0
                 before = status["step"]
                 applied = await client.feed(sid, block)
                 assert applied["step"] == before + 2
                 blob = await client.snapshot(sid)
                 assert isinstance(blob, bytes) and blob
-                return len(errors)
+                echoed = server.stats["steps_ingested"]
+                return sent, len(errors), status["step"], echoed, applied["step"]
             finally:
                 if client is not None:
                     await client.aclose()
                 await server.aclose()
 
-        # Never a hang: the whole schedule, restarts included, bounded.
-        asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+        # Never a hang: the whole schedule, disruptions included, bounded.
+        return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+    def test_no_hang_no_corruption(self):
+        async def restart_all(server, sid):
+            for index in range(server.num_shards):
+                await server.restart_shard(index)
+
+        sent, _errors, step, _echoed, _final = self._race(restart_all)
+        # Acked feeds survived the restart and the step counts exactly
+        # the applied blocks.  Each 2-row block advances the step clock
+        # by 2; an odd step would mean a block was half-applied.
+        assert 0 <= step <= 2 * sent
+        assert step % 2 == 0
+
+    def test_migrations_lose_no_step_and_apply_none_twice(self):
+        """Migrations move no frame out of order: every feed of the
+        window is applied exactly once, and the supervisor's step echo
+        counts each exactly once (replies land on both sides of a move)."""
+
+        async def migrate_around(server, sid):
+            for _ in range(2 * server.num_shards):
+                await server.migrate_session(sid)
+                await asyncio.sleep(0.002)
+
+        sent, errors, step, echoed, final = self._race(migrate_around)
+        assert (sent, errors) == (self.FEEDS, 0)
+        assert step == 2 * self.FEEDS
+        assert echoed == final == step + 2
 
 
 if os.environ.get("REPRO_FUZZ_SELFTEST"):
@@ -343,9 +363,7 @@ if os.environ.get("REPRO_FUZZ_SELFTEST"):
             harness.reset()
             s = harness.create(dict(SPECS[0]))
             harness.feed(s, [[1.0] * 4])
-            harness.set_batching(False)
             harness.feed_nowait(s, [[2.0] * 4])
-            harness.set_batching(True)
             harness.flush()
             blob = harness.snapshot(s)
             harness.restore(blob)

@@ -15,13 +15,16 @@ connect.
 The second scenario is the zero-downtime flavor: a graceful rolling
 restart (``restart_shard(..., graceful=True)``) drains residents by
 checkpoint-migration instead of replaying them, with the same
-bit-identical outcome and zero loss.
+bit-identical outcome and zero loss.  The third stops a worker instead
+of killing it: the supervisor's deadline must fail that worker's frames
+while the rest of the fleet serves on.
 """
 
 import asyncio
 import os
 import signal
 
+from repro.service import shard
 from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.session import session_from_wire
 from repro.service.shard import ShardedMonitoringServer
@@ -187,3 +190,90 @@ class TestGracefulRollingRestart:
                 await server.aclose()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=300))
+
+
+class TestStoppedWorker:
+    """The stuck-worker row of docs/OPERATIONS.md §6, injected with SIGSTOP.
+
+    Feeds run on their worker's event loop, so a stuck feed holds its
+    whole process: nothing on that worker answers, ``ping`` and
+    ``query`` included.  The supervisor's per-link deadline turns that
+    into :class:`ShardError` replies for the stopped worker's frames —
+    in flight and new alike — while the other shard keeps serving; a
+    SIGKILL (a stopped process ignores SIGTERM until continued) and
+    ``restart_shard`` then recover every session from the log.
+    """
+
+    DEADLINE = 1.0
+
+    def test_deadline_fails_its_frames_and_restart_recovers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shard, "_FORWARD_TIMEOUT", self.DEADLINE)
+        slack = 5.0  # scheduling on a loaded CI host, not protocol time
+
+        async def scenario():
+            server = ShardedMonitoringServer(shards=2, wal_dir=tmp_path)
+            await server.start()
+            clients = []
+            stopped = None
+            try:
+                client = await AsyncServiceClient.connect(server.host, server.port)
+                other = await AsyncServiceClient.connect(server.host, server.port)
+                clients += [client, other]
+                sids = []
+                while len({server._routes[s].shard for s in sids}) < 2:
+                    sids.append(await client.create_session(**spec(len(sids))))
+                stream = blocks_for(0)
+                for sid in sids:
+                    await client.feed(sid, stream[0])
+                victim_shard = server._routes[sids[0]].shard
+                victims = [s for s in sids if server._routes[s].shard == victim_shard]
+                survivor = next(s for s in sids if s not in victims)
+
+                stopped = server._workers[victim_shard].process.pid
+                os.kill(stopped, signal.SIGSTOP)
+                loop = asyncio.get_running_loop()
+
+                # In-flight frames: a pipelined window to a stopped worker.
+                start = loop.time()
+                for block in stream[1:4]:
+                    await client.feed_nowait(victims[0], block)
+                # The other shard keeps serving meanwhile.
+                ack = await asyncio.wait_for(
+                    other.feed(survivor, stream[1]), timeout=self.DEADLINE
+                )
+                assert ack["step"] == 2 * BLOCK
+                try:
+                    await client.flush()
+                except ServiceError as exc:
+                    assert exc.error_type == "ShardError"
+                else:
+                    raise AssertionError("frames to a stopped worker were acked")
+                assert loop.time() - start < 3 * self.DEADLINE + slack
+
+                # A new frame: the reconnect's hello meets the deadline too.
+                start = loop.time()
+                try:
+                    await client.query(victims[0])
+                except ServiceError as exc:
+                    assert exc.error_type == "ShardError"
+                else:
+                    raise AssertionError("a stopped worker answered a query")
+                assert loop.time() - start < self.DEADLINE + slack
+                assert (await other.query(survivor))["step"] == 2 * BLOCK
+
+                os.kill(stopped, signal.SIGKILL)
+                stopped = None
+                info = await server.restart_shard(victim_shard)
+                assert info["lost"] == 0
+                assert info["recovered"] == len(victims)
+                for sid in victims:  # the acked block survived, nothing else
+                    assert (await client.query(sid))["step"] == BLOCK
+                assert (await client.feed(victims[0], stream[1]))["step"] == 2 * BLOCK
+            finally:
+                if stopped is not None:
+                    os.kill(stopped, signal.SIGKILL)
+                for c in clients:
+                    await c.aclose()
+                await server.aclose()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=120))

@@ -33,8 +33,12 @@ class TestRegistryShape:
             "ping": 1, "create": 2, "feed": 3, "advance": 4, "query": 5,
             "cost": 6, "snapshot": 7, "restore": 8, "finalize": 9,
             "close": 10, "list": 11, "shutdown": 12, "migrate": 13,
-            "hello": 14, "batch": 15, "metrics": 16, "durability": 17,
+            "hello": 14, "metrics": 16, "durability": 17,
         }
+        # 15 was ``batch`` (the served coalescing toggle): retired, and
+        # never handed to another op.
+        assert ops.RESERVED_CODES == {15}
+        assert not ops.RESERVED_CODES & set(ops.OP_NAMES)
 
     def test_flag_consistency(self):
         for spec in ops.OPS:
@@ -130,6 +134,11 @@ class TestWireDoc:
                 "passthrough": match.group(6) == "yes",
             }
         return rows
+
+    def test_reserved_codes_stay_in_the_table(self):
+        text = self.DOC.read_text()
+        for code in ops.RESERVED_CODES:
+            assert re.search(rf"^\|\s*{code}\s*\|\s*\*reserved\*", text, re.M), code
 
     def test_table_matches_registry(self):
         rows = self._doc_rows()

@@ -31,6 +31,7 @@ from repro.service import (
     MonitoringServer,
     ServiceError,
     ShardedMonitoringServer,
+    shard,
     wire,
 )
 from repro.streams import registry
@@ -142,7 +143,10 @@ class TestNegotiation:
 
         asyncio.run(scenario())
 
-    def test_pinned_supervisor_pins_its_workers(self):
+    def test_pinned_supervisor_keeps_v2_worker_links(self):
+        """``accept_wire=1`` pins only the client-facing listener: a v1
+        client is served end to end, over a worker link speaking v2."""
+
         async def scenario():
             server = ShardedMonitoringServer(shards=1, accept_wire=wire.WIRE_V1)
             client = await _served(server, "auto")
@@ -152,6 +156,9 @@ class TestNegotiation:
                 sid = await client.create_session(**spec(0))
                 ack = await client.feed(sid, blocks_for(0)[0])
                 assert ack["step"] == BLOCK
+                # The worker grants v2, and its link is a v2 frame link.
+                assert (await server._forward(0, "ping"))["accept_wire"] == 2
+                assert isinstance(server._workers[0].link, shard._Link)
             finally:
                 await client.aclose()
                 await server.aclose()
@@ -477,13 +484,13 @@ class TestMalformedFrames:
 
     def test_link_survives_encode_rejected_batches(self):
         """A v1 client's bad batch fails at the supervisor→worker link
-        *encode* (nothing written): the pooled link must stay in sync
-        and re-pool healthy, not force a reconnect per bad request."""
+        *encode* (nothing written): the link must stay in sync and keep
+        serving, not force a reconnect per bad request."""
 
         async def run():
-            # One pooled link: every forwarded op shares it, so the
-            # worker's connection count moves iff a link gets poisoned.
-            server = ShardedMonitoringServer(shards=1, links_per_shard=1)
+            # One link per worker: every forwarded op shares it, so the
+            # worker's connection count moves iff the link is dropped.
+            server = ShardedMonitoringServer(shards=1)
             host, port = await server.start()
             client = await AsyncServiceClient.connect(host, port, wire_protocol="v1")
             try:

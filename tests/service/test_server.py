@@ -226,7 +226,8 @@ class TestSmallOpFastPath:
 
     def test_cheap_ops_never_touch_the_executor(self, reference):
         """INLINE_OPS are served on the event loop: no run_in_executor
-        round trip.  Heavy ops (feed) still go through it."""
+        round trip.  So is a feed of an ordinary block; heavy ops
+        (create) still go through the executor."""
         _ref, blocks = reference
 
         async def scenario():
@@ -247,7 +248,7 @@ class TestSmallOpFastPath:
                 try:
                     covered = {
                         "ping", "hello", "query", "cost", "list", "close",
-                        "batch", "metrics", "durability",
+                        "metrics", "durability",
                     }
                     # shutdown is inline too but would stop the server;
                     # everything else in the contract set must be hit
@@ -258,14 +259,14 @@ class TestSmallOpFastPath:
                     await client.query(sid)
                     await client.cost(sid)
                     await client.list_sessions()
-                    await client.set_batching(True)
                     await client.metrics()
                     await client.durability()
                     await client.close_session(sid)
                     assert calls == []  # every cheap op stayed on the loop
                     sid2 = await client.create_session(**spec())
+                    assert calls == ["session_from_wire"]  # create offloads
                     await client.feed(sid2, blocks[0])
-                    assert calls != []  # the heavy path still offloads
+                    assert calls == ["session_from_wire"]  # the feed did not
                 finally:
                     server._run_sync = real_run_sync
             finally:

@@ -1,20 +1,21 @@
 """The cohort law at the service layer: batched sessions ≡ serial twins.
 
-Three tiers of the same law:
+Two tiers:
 
 1. :class:`~repro.service.session.SessionBatch` — membership rules and
    ``feed_batch`` ticks at S = 1, 16 and 257 (one non-batchable
    straggler forcing the serial fallback inside a tick), compared
    against serially-fed twin sessions on ``F(t)``, the cost snapshot
    and the checkpoint **bytes**.
-2. The server's cross-connection coalescing — concurrent feeds from
-   many connections land in vectorized ticks (``batched_ticks`` > 0)
-   yet answer exactly what the in-process oracle answers.
-3. The ``batch`` wire op — runtime toggle, observables unmoved.
+2. Served sessions of one cohort — concurrent feeds from many
+   connections, in process and behind a 1-shard supervisor, answer
+   exactly what the in-process oracle answers.  Servers feed each
+   session on its own (coalescing is an in-process library tool only),
+   and the retired ``batch`` op is answered as an unknown op.
 
 The sharded topology is covered by the stateful fuzz tier and the
-supervisor fan-out test in tests/service/test_shard.py idiom; here the
-1-shard case rides the same scenario via a parametrized topology.
+supervisor tests in tests/service/test_shard.py; here the 1-shard case
+rides the same scenario via a parametrized topology.
 """
 
 import asyncio
@@ -22,7 +23,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.service.client import AsyncServiceClient
+from repro.service import wire
+from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.server import MonitoringServer
 from repro.service.session import Session, SessionBatch, session_from_wire
 from repro.service.shard import ShardedMonitoringServer
@@ -190,13 +192,11 @@ def _drive_topology(shards: int):
                 finally:
                     await client.aclose()
 
-            results = await asyncio.gather(*(drive(i) for i in range(S)))
-            stats = dict(getattr(server, "stats", {}))
-            return results, stats
+            return await asyncio.gather(*(drive(i) for i in range(S)))
         finally:
             await server.aclose()
 
-    results, stats = asyncio.run(scenario())
+    results = asyncio.run(scenario())
     for i, (last, blob, final) in enumerate(results):
         oracle = session_from_wire(dict(spec))
         oracle.feed(blocks[i].copy())
@@ -205,70 +205,52 @@ def _drive_topology(shards: int):
         expected = oracle.finalize()
         assert final["messages"] == expected.messages
         assert final["output_changes"] == expected.output_changes
-    return stats
 
 
-class TestServerCoalescing:
-    def test_inproc_coalesces_and_stays_bit_identical(self):
-        stats = _drive_topology(shards=0)
-        assert stats["batched_ticks"] > 0
-        assert stats["batched_steps"] > 0
+class TestServedCohorts:
+    def test_inproc_topology_stays_bit_identical(self):
+        _drive_topology(shards=0)
 
     def test_one_shard_topology_stays_bit_identical(self):
-        # The supervisor passes feeds through; its workers batch
-        # internally, so the front-end stats stay at zero here.
         _drive_topology(shards=1)
 
-    def test_toggle_disables_coalescing(self):
-        spec = {"algorithm": "approx-monitor", "n": N, "k": K, "eps": EPS, "seed": 23}
-        blocks = walk_blocks(12, 4, seed=29)
+    def test_retired_batch_op_is_unknown(self):
+        """Code 15 (``batch``) is reserved: both framings answer it as an
+        unknown op, and the connection keeps serving."""
 
-        async def scenario(server, client):
-            response = await client.set_batching(False)
-            assert response["batching"] is False
-
-            async def drive(i):
-                conn = await AsyncServiceClient.connect(server.host, server.port)
-                try:
-                    sid = (await conn.request("create", spec=dict(spec)))["session"]
-                    return await conn.feed(sid, blocks[i])
-                finally:
-                    await conn.aclose()
-
-            results = await asyncio.gather(*(drive(i) for i in range(4)))
-            assert server.stats["batched_ticks"] == 0
-            response = await client.set_batching(True)
-            assert response["batching"] is True
-            return results
-
-        async def scaffold():
-            server = MonitoringServer()
-            await server.start()
-            client = await AsyncServiceClient.connect(server.host, server.port)
-            try:
-                return await scenario(server, client)
-            finally:
-                await client.aclose()
-                await server.aclose()
-
-        results = asyncio.run(scaffold())
-        for i, result in enumerate(results):
-            oracle = session_from_wire(dict(spec))
-            oracle.feed(blocks[i].copy())
-            assert (result["step"], result["messages"]) == (oracle.step, oracle.messages)
-
-    def test_batch_op_rejects_non_bool(self):
         async def scenario():
             server = MonitoringServer()
             await server.start()
-            client = await AsyncServiceClient.connect(server.host, server.port)
             try:
-                from repro.service.client import ServiceError
-
-                with pytest.raises(ServiceError, match="enabled"):
-                    await client.request("batch", enabled="yes")
+                client = await AsyncServiceClient.connect(
+                    server.host, server.port, wire_protocol="v1"
+                )
+                try:
+                    with pytest.raises(ServiceError, match="unknown op") as err:
+                        await client.request("batch", enabled=False)
+                    assert err.value.error_type == "WireError"
+                    assert (await client.ping())["pong"] is True
+                finally:
+                    await client.aclose()
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                try:
+                    writer.write(wire.encode_line({"id": 1, "op": "hello", "wire": 2}))
+                    assert wire.decode_line(await reader.readline())["wire"] == 2
+                    writer.write(
+                        wire.pack_header(
+                            kind=wire.KIND_NONE, code=15, request_id=7, session=0,
+                            meta_len=0, payload_len=0,
+                        )
+                        + wire.encode_frame({"id": 8, "op": "ping"})
+                    )
+                    for request_id, ok in ((7, False), (8, True)):
+                        reply = wire.decode_frame(*await wire.read_frame(reader))
+                        assert (reply["id"], reply["ok"]) == (request_id, ok)
+                        if not ok:
+                            assert "unknown op code 15" in reply["error"]
+                finally:
+                    writer.close()
             finally:
-                await client.aclose()
                 await server.aclose()
 
-        asyncio.run(scenario())
+        asyncio.run(asyncio.wait_for(scenario(), timeout=60))

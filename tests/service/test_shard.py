@@ -19,6 +19,7 @@ from repro.service import (
     ServiceError,
     ShardedMonitoringServer,
     ShardRing,
+    wire,
 )
 from repro.streams import registry
 
@@ -101,6 +102,56 @@ async def _drive_transcript(server, *, migrate_after=None, restart_after=None):
         await server.aclose()
 
 
+async def _pipelined_transcript(server, sessions=8):
+    """Pipeline feed/query/cost/snapshot/finalize frames over every
+    session on one raw v2 connection; return the replies in arrival order.
+
+    Every frame of the run is written before the replies are consumed,
+    so the supervisor has far more frames in flight than its read-ahead
+    bound; the replies must still come back in request order.
+    """
+    host, port = await server.start()
+    client = await AsyncServiceClient.connect(host, port, wire_protocol="v2")
+    try:
+        sids = [await client.create_session(**spec(i)) for i in range(sessions)]
+        if isinstance(server, ShardedMonitoringServer):
+            shards = {server._routes[sid].shard for sid in sids}
+            assert shards == set(range(server.num_shards))
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(wire.encode_line({"id": 0, "op": "hello", "wire": 2}))
+        assert wire.decode_line(await reader.readline())["wire"] == 2
+        data = [blocks_for(i) for i in range(sessions)]
+        frames = []
+        for block_index in range(len(data[0])):
+            for sid, blocks in zip(sids, data):
+                frames.append(
+                    {"op": "feed", "session": sid, "values": blocks[block_index]}
+                )
+                frames.append({"op": "query", "session": sid})
+                if block_index % 2:
+                    frames.append({"op": "cost", "session": sid})
+                if block_index == 2:
+                    frames.append({"op": "snapshot", "session": sid})
+        for sid in sids:  # a frame right behind a finalize finds no session
+            frames.append({"op": "finalize", "session": sid})
+            frames.append({"op": "query", "session": sid})
+        for request_id, frame in enumerate(frames, start=1):
+            writer.write(wire.encode_frame({"id": request_id, **frame}))
+        replies = []
+        for _ in frames:
+            header, meta, body = await asyncio.wait_for(wire.read_frame(reader), 30)
+            replies.append(wire.decode_frame(header, meta, body))
+        writer.close()
+        assert [reply["id"] for reply in replies] == list(range(1, len(frames) + 1))
+        tail = 2 * sessions
+        assert [reply["ok"] for reply in replies[-tail:]] == [True, False] * sessions
+        assert all(reply["ok"] for reply in replies[:-tail])
+        return replies
+    finally:
+        await client.aclose()
+        await server.aclose()
+
+
 class TestTopologyIndependence:
     def test_sharded_serving_is_bit_identical(self):
         """shards=1, shards=4, and the single-process server agree on
@@ -116,6 +167,18 @@ class TestTopologyIndependence:
             )
         )
         assert one_shard == single
+        assert four_shards == single
+
+    def test_pipelined_frames_answer_in_order_and_bit_identical(self):
+        """One connection pipelines session frames over all four shards:
+        replies come back in request order, and every reply — step
+        echoes, F(t), cost bills, checkpoint bytes, final results and
+        the errors of frames behind a finalize — matches single-process
+        serving."""
+        single = asyncio.run(_pipelined_transcript(MonitoringServer()))
+        four_shards = asyncio.run(
+            _pipelined_transcript(ShardedMonitoringServer(shards=4))
+        )
         assert four_shards == single
 
 
@@ -231,6 +294,49 @@ class TestLifecycle:
                 await server.aclose()
 
         asyncio.run(scenario())
+
+    def test_unread_replies_stall_only_their_connection(self):
+        """A client that pipelines frames but never reads the replies
+        stalls its own connection at the supervisor's read-ahead bound:
+        forwarding stops, other connections keep being served, and once
+        the client reads, every reply arrives in request order."""
+
+        async def scenario():
+            server = ShardedMonitoringServer(shards=1)
+            host, port = await server.start()
+            client = await AsyncServiceClient.connect(host, port)
+            writer = None
+            try:
+                sid = await client.create_session(**spec(0))
+                await client.feed(sid, blocks_for(0)[0])
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(wire.encode_line({"id": 0, "op": "hello", "wire": 2}))
+                assert wire.decode_line(await reader.readline())["wire"] == 2
+                frames = 4000  # checkpoint replies: far more than socket buffers
+                for request_id in range(1, frames + 1):
+                    writer.write(
+                        wire.encode_frame(
+                            {"id": request_id, "op": "snapshot", "session": sid}
+                        )
+                    )
+                forwarded = -1
+                while server.stats["requests"] != forwarded:  # until it stalls
+                    forwarded = server.stats["requests"]
+                    await asyncio.sleep(0.5)
+                assert forwarded < frames
+                assert (await client.query(sid))["step"] == BLOCK
+                for request_id in range(1, frames + 1):
+                    header, _meta, _blob = await asyncio.wait_for(
+                        wire.read_frame(reader), 30
+                    )
+                    assert (header.request_id, header.code) == (request_id, 0)
+            finally:
+                if writer is not None:
+                    writer.close()
+                await client.aclose()
+                await server.aclose()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=120))
 
     def test_shutdown_op_drains_workers(self):
         async def scenario():
